@@ -47,8 +47,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-_trapezoid = getattr(np, "trapezoid", np.trapz)  # renamed in numpy 2
-
 REGIME_NAMES = {1: "local", 2: "exponential", 3: "hedging"}
 
 
@@ -258,7 +256,7 @@ class FunctionalSamples:
         good = ~np.isnan(sup)
         if good.sum() < 2:
             return float("nan")
-        return float(_trapezoid(sup[good], self.times[good]))
+        return float(np.trapezoid(sup[good], self.times[good]))
 
     @property
     def l_aggregate(self) -> float:

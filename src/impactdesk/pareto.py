@@ -7,13 +7,16 @@ multiplier lam = d(value)/dx:
 
     v^m u_m'(y^m) = lam,        sum_m y^m = x.
 
-The solver runs a bracket-safeguarded Newton iteration in log(lam).  The
-aversion band [1/c, c] bounds the slope of the aggregate response away
-from zero and infinity, which yields an a-priori bracket around any
-initial guess.  All partial derivatives of the sharing value follow from
-the envelope theorem and implicit differentiation of the first-order
-conditions; risk tolerances t_m = 1/a_m evaluated at the optimal
-allocation carry all the second- and third-order structure.
+The solver runs a bracket-safeguarded Newton iteration in log(lam)
+(the "rtsafe" hybrid of Numerical Recipes, section 9.4).  The aversion
+band [1/c, c] bounds the slope of the aggregate response away from zero
+and infinity, which yields an a-priori bracket around any initial guess.
+Points that meet their tolerance are frozen while the rest iterate, so
+each point's result is the same whatever batch it is solved in.  All
+partial derivatives of the sharing value follow from the envelope theorem
+and implicit differentiation of the first-order conditions; risk
+tolerances t_m = 1/a_m evaluated at the optimal allocation carry all the
+second- and third-order structure.
 
 The constant-aversion (exponential) family admits closed forms which the
 tests use as an oracle for the generic numerical path.
@@ -76,30 +79,36 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     """Solve sum_m (u_m')^{-1}(exp(l) / v^m) = x for l = log(lam).
 
     logv carries the member axis last and must broadcast against x after
-    dropping it.  Returns (l, allocations list, tolerances list).
+    dropping it.  Returns (l, allocations list).
+
+    The points are flattened into rows and iterated through an
+    active-index array: a row that meets its tolerance is frozen with its
+    l, allocations and bracket, and only the open rows take further
+    steps.  Every row therefore follows its own iteration, and its result
+    does not depend on which other rows share the batch.  A row whose
+    residual is NaN never counts as converged.
     """
     members = agents.members
     nm = len(members)
     shape = np.broadcast_shapes(logv.shape[:-1], x.shape)
-    x = np.broadcast_to(x, shape)
+    x = np.broadcast_to(x, shape).reshape(-1)
+    logv = np.broadcast_to(logv, shape + (nm,)).reshape(-1, nm)
     c = agents.c
     a0 = agents.aversion_at_zero
     t0 = 1.0 / a0
     # constant-aversion proxy: exact for exponential members, a good seed
     # otherwise
-    l = np.zeros(shape)
+    l = np.zeros(x.shape)
     for m in range(nm):
-        l = l + t0[m] * logv[..., m]
+        l = l + t0[m] * logv[:, m]
     l = (l - x) / t0.sum()
-    l = np.broadcast_to(l, shape).copy()
 
-    def residual(lcur):
-        xhat = [inverse_log_marginal(members[m], lcur - logv[..., m])
+    def residual(lcur, rows):
+        xhat = [inverse_log_marginal(members[m], lcur - logv[rows, m])
                 for m in range(nm)]
-        psi = sum(xhat) - x
-        return xhat, psi
+        return xhat, sum(xhat) - x[rows]
 
-    xhat, psi = residual(l)
+    xhat, psi = residual(l, slice(None))
     # aversion band => |dpsi/dl| in [M/c, M*c], so the root sits within
     # |psi| * c/M of the current point; no need to probe the endpoints
     span = c / nm
@@ -107,21 +116,26 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     hi = l + np.maximum(psi, 0.0) * span
 
     tol = atol_scale * (1.0 + np.abs(x))
+    rows = np.arange(x.size)
     for _ in range(100):
-        if np.all(np.abs(psi) <= tol):
+        open_ = ~(np.abs(psi) <= tol)
+        if not open_.any():
             break
-        lo = np.where(psi > 0.0, l, lo)
-        hi = np.where(psi <= 0.0, l, hi)
-        slope = sum(1.0 / risk_aversion(members[m], xhat[m])[0]
+        rows, psi, tol = rows[open_], psi[open_], tol[open_]
+        lo, hi, lr = lo[open_], hi[open_], l[rows]
+        lo = np.where(psi > 0.0, lr, lo)
+        hi = np.where(psi <= 0.0, lr, hi)
+        slope = sum(1.0 / risk_aversion(members[m], xhat[m][rows])[0]
                     for m in range(nm))
-        step = psi / slope
-        l_new = l + step
+        l_new = lr + psi / slope
         outside = (l_new <= lo) | (l_new >= hi)
-        l = np.where(outside, 0.5 * (lo + hi), l_new)
-        xhat, psi = residual(l)
+        l[rows] = lr = np.where(outside, 0.5 * (lo + hi), l_new)
+        xr, psi = residual(lr, rows)
+        for m in range(nm):
+            xhat[m][rows] = xr[m]
     else:
         raise NumericFailureError("multiplier iteration did not converge")
-    return l, xhat
+    return l.reshape(shape), [xm.reshape(shape) for xm in xhat]
 
 
 @_quiet

@@ -42,6 +42,7 @@ import numpy as np
 from .fields import (ConjugateInfeasibleError, FieldRangeError,
                      _conjugate_batch, field_core)
 from .market import MarketModel
+from .pareto import NumericFailureError
 from .quadrature import QuadratureRule
 from .utility import AgentSet
 
@@ -319,11 +320,13 @@ def _state_coefficients(agents, model, rule, t, level, utilities, position,
                         warm_w, warm_c, max_iter, tol):
     """Solved weights/cash and diffusion rows on the slope-one slice.
 
-    Never raises: a row whose solve fails to converge, or whose field
-    evaluation leaves floating-point range, comes back with ok=False.
-    The vectorized attempt is retried row by row only when a range
-    fault poisons the whole batch.
+    Never raises: a row whose solve fails to converge, whose field
+    evaluation leaves floating-point range, or whose inner multiplier
+    solve fails, comes back with ok=False.  The vectorized attempt is
+    retried row by row only when such a fault poisons the whole batch.
     """
+    failures = (FieldRangeError, ConjugateInfeasibleError,
+                NumericFailureError)
     p, m = utilities.shape
     weights = np.full((p, m), np.nan)
     cash = np.full(p, np.nan)
@@ -348,12 +351,12 @@ def _state_coefficients(agents, model, rule, t, level, utilities, position,
     rows = np.arange(p)
     try:
         solve_rows(rows)
-    except (FieldRangeError, ConjugateInfeasibleError):
+    except failures:
         ok[:] = False
         for i in range(p):
             try:
                 solve_rows(rows[i:i + 1])
-            except (FieldRangeError, ConjugateInfeasibleError):
+            except failures:
                 pass
     return weights, cash, coeff, ok
 

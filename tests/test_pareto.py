@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from impactdesk import pareto
 from impactdesk.pareto import (
+    WEIGHT_RATIO_LIMIT,
     DegenerateWeightsError,
+    NumericFailureError,
     exponential_point,
     harmonic_aversion,
     pareto_point,
@@ -27,6 +30,10 @@ MIXED = agent_set(
     exponential_utility(1.0),
     build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5, max_order=6),
     exponential_utility(3.0),
+)
+TANH_EXP = agent_set(
+    build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5, max_order=6),
+    exponential_utility(2.0),
 )
 TANH_PAIR = agent_set(
     build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5, max_order=6),
@@ -211,3 +218,59 @@ def test_batched_shapes_match_scalar_path():
         assert d["value"][i] == pytest.approx(p.value, rel=1e-13)
         assert np.allclose(d["value_vv"][i], p.value_vv, rtol=1e-12)
         assert d["value_xxv"][i] == pytest.approx(p.value_xxv, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# multiplier solve: converged rows are frozen
+
+
+def _seeded_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    v = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=(n, 2)))
+    x = rng.uniform(-5.0, 5.0, size=n)
+    return v, x
+
+
+def test_batch_solve_matches_single_row_solves_bitwise():
+    v, x = _seeded_rows(200, 7)
+    d = sharing_derivatives(TANH_EXP, v, x, order=1)
+    for i in range(x.size):
+        row = slice(i, i + 1)
+        s = sharing_derivatives(TANH_EXP, v[row], x[row], order=1)
+        assert np.array_equal(s["log_multiplier"], d["log_multiplier"][row])
+        assert np.array_equal(s["allocation"], d["allocation"][row])
+
+
+def test_multiplier_solve_work_bound(monkeypatch):
+    v, x = _seeded_rows(2000, 11)
+    calls, elems = [0], [0]
+    inner = pareto.inverse_log_marginal
+
+    def counted(spec, w):
+        calls[0] += 1
+        elems[0] += np.size(w)
+        return inner(spec, w)
+
+    monkeypatch.setattr(pareto, "inverse_log_marginal", counted)
+    sharing_derivatives(TANH_EXP, v, x, order=1)
+    nm = TANH_EXP.size
+    assert calls[0] <= 6 * nm
+    assert elems[0] <= 5 * x.size * nm
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-110.0, 110.0)),
+                min_size=1, max_size=8))
+def test_multiplier_solve_at_extreme_weights_and_wealth(rows):
+    # weight ratios up to ~0.99 * WEIGHT_RATIO_LIMIT either way; the tanh
+    # table spans +-120 around zero
+    half = 0.99 * 0.5 * math.log(WEIGHT_RATIO_LIMIT)
+    r = np.array([q for q, _ in rows]) * half
+    v = np.exp(np.stack([r, -r], axis=-1))
+    x = np.array([w for _, w in rows])
+    alloc = sharing_derivatives(TANH_EXP, v, x, order=1)["allocation"]
+    psi = sum(alloc[:, m] for m in range(TANH_EXP.size)) - x
+    assert np.all(np.abs(psi) <= 1e-13 * (1.0 + np.abs(x)))
+    with pytest.raises(NumericFailureError):
+        sharing_derivatives(TANH_EXP, np.vstack([v, [[1.0, 1.0]]]),
+                            np.append(x, np.nan), order=1)

@@ -11,10 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from impactdesk import sde
 from impactdesk.market import LinearPayoff, market_model
+from impactdesk.pareto import NumericFailureError
 from impactdesk.quadrature import QuadratureRule
-from impactdesk.sde import (COMPLETED, EXPLOSION, ConstantFlow, FeedbackFlow,
-                            ScheduleFlow, SimulationConfig,
+from impactdesk.sde import (COMPLETED, EXPLOSION, INFEASIBLE, ConstantFlow,
+                            FeedbackFlow, ScheduleFlow, SimulationConfig,
                             brownian_increments, coarsen_increments,
                             initial_state, run_ensemble, simulate_path,
                             static_oracle, static_oracle_terminal,
@@ -276,6 +278,28 @@ def test_explosion_stop_adversarial_feedback():
         assert rec.utilities[-1].max() > -eps
         assert np.all(rec.utilities[:-1].max(axis=1) <= -eps)
         assert np.isnan(rec.cash[-1]) and np.all(np.isfinite(rec.cash[:-1]))
+
+
+def test_multiplier_failure_stops_only_its_path(monkeypatch):
+    # the solver raises for every batch holding path 3 from step 1 on,
+    # identified by its first Brownian level
+    cfg = SimulationConfig(dt=2.0**-3, n_paths=6, seed=5, quadrature_n=8)
+    marked = brownian_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps,
+                                 cfg.dt)[3, 0]
+    solve = sde._conjugate_batch
+
+    def failing(agents, model, rule, t, level, *args, **kwargs):
+        if np.any(level == marked):
+            raise NumericFailureError("multiplier iteration did not converge")
+        return solve(agents, model, rule, t, level, *args, **kwargs)
+
+    monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+    monkeypatch.setattr(sde, "_conjugate_batch", failing)
+    summ = run_ensemble(EXP_PAIR, LIN, HALF_FLOW, cfg, cash=1.5)
+    assert summ.stop_reasons[3] == INFEASIBLE
+    assert summ.taus[3] == cfg.dt
+    others = [r for i, r in enumerate(summ.stop_reasons) if i != 3]
+    assert others == [COMPLETED] * 5
 
 
 def test_benign_ensemble_never_stops():
