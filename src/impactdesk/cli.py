@@ -21,8 +21,8 @@ import numpy as np
 
 from .conditions import PASS, check_all_regimes
 from .config import ConfigError, ExperimentConfig, load_config
-from .fields import (ConjugateInfeasibleError, FieldRangeError,
-                     eval_sde_coefficient, field_core)
+from .fields import (ConjugateInfeasibleError, eval_sde_coefficient,
+                     field_core)
 from .quadrature import QuadratureRule
 from .sde import run_ensemble, strong_error_study
 
@@ -111,7 +111,7 @@ def _run_fields(cfg: ExperimentConfig, out_dir: str) -> int:
             try:
                 coef, _ = eval_sde_coefficient(
                     agents, model, rule, t, z, out["value_v"][0], q)
-            except (ConjugateInfeasibleError, FieldRangeError):
+            except ConjugateInfeasibleError:
                 coef = np.full(m, np.nan)
             row = ([t, z] + list(v) + [cfg.cash] + list(q)
                    + [out["value"][0], out["value_x"][0]]

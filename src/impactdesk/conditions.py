@@ -36,8 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import (ConjugateInfeasibleError, FieldRangeError,
-                     _conjugate_batch, field_core)
+from .fields import coefficient_rows, field_core
 from .market import (IntegrabilityReport, MarketModel, UnsupportedPayoffError,
                      check_integrability)
 from .quadrature import QuadratureRule
@@ -274,93 +273,43 @@ class FunctionalSamples:
 def _dual_load(agents, model, rule, t, level, utilities, positions, bound):
     """L over a (utilities, positions) grid; nan outside the box or where
     the state is unreachable."""
-    g = utilities.shape[0]
-    values = np.full(g, np.nan)
+    values = np.full(utilities.shape[0], np.nan)
     member = (np.all(utilities >= -bound, axis=1)
               & np.all(utilities < 0.0, axis=1)
               & np.all(np.abs(positions) <= bound, axis=1))
     idx = np.flatnonzero(member)
-    skipped = g - idx.size
-    for rows in _solvable_blocks(agents, model, rule, t, level, utilities,
-                                 positions, idx):
-        block, weights, cash = rows
-        try:
-            out = field_core(agents, model, rule, t,
-                             np.broadcast_to(level, (block.size,)), weights,
-                             cash, positions[block], order=2,
-                             with_integrand=True)
-        except FieldRangeError:
-            skipped += block.size
-            continue
-        u = utilities[block]
-        load = np.sum((out["integrand_v"] / u) ** 2, axis=1)
-        values[block] = load / (1.0 + np.sum(np.abs(np.log(-u)), axis=1))
-    skipped += int(np.isnan(values[idx]).sum())
-    return values, skipped
-
-
-def _solvable_blocks(agents, model, rule, t, level, utilities, positions,
-                     idx):
-    """Conjugate-solve the rows in idx, yielding solved blocks; rows whose
-    solve fails stay nan in the caller's output."""
-    if idx.size == 0:
-        return
-    lev = np.broadcast_to(level, (idx.size,))
-    try:
-        v, c, ok, *_ = _conjugate_batch(agents, model, rule, t, lev,
-                                        utilities[idx], np.ones(idx.size),
-                                        positions[idx])
-        if ok.any():
-            yield idx[ok], v[ok], c[ok]
-    except (FieldRangeError, ConjugateInfeasibleError):
-        for i in idx:
-            try:
-                v, c, ok, *_ = _conjugate_batch(
-                    agents, model, rule, t, np.broadcast_to(level, (1,)),
-                    utilities[i:i + 1], np.ones(1), positions[i:i + 1])
-            except (FieldRangeError, ConjugateInfeasibleError):
-                continue
-            if ok[0]:
-                yield np.array([i]), v, c
+    if idx.size:
+        u = utilities[idx]
+        _, _, coef, _ = coefficient_rows(
+            agents, model, rule, t, np.broadcast_to(level, (idx.size,)), u,
+            positions[idx])
+        load = np.sum((coef / u) ** 2, axis=1)
+        values[idx] = load / (1.0 + np.sum(np.abs(np.log(-u)), axis=1))
+    return values, int(np.isnan(values).sum())
 
 
 def _primal_loads(agents, model, rule, t, level, weights, cash, positions,
                   bound):
-    """M and N over a (weights, cash, positions) grid."""
+    """M and N over a (weights, cash, positions) grid; nan outside the box
+    or where the field leaves double precision."""
     g = weights.shape[0]
     m_values = np.full(g, np.nan)
     n_values = np.full(g, np.nan)
     if g == 0:
         return m_values, n_values, 0, 0
-    in_q = np.all(np.abs(positions) <= bound, axis=1)
-
-    def fill(rows):
-        out = field_core(agents, model, rule, t,
-                         np.broadcast_to(level, (rows.size,)), weights[rows],
-                         cash[rows], positions[rows], order=2,
-                         with_integrand=True)
-        value_v, value_x = out["value_v"], out["value_x"]
-        h_v = out["integrand_v"]
-        scale = 1.0 + np.abs(cash[rows])
-        ok = in_q[rows] & np.all(value_v >= -bound, axis=1)
+    out = field_core(agents, model, rule, t, np.broadcast_to(level, (g,)),
+                     weights, cash, positions, order=2, with_integrand=True)
+    value_v, value_x = out["value_v"], out["value_x"]
+    h_v = out["integrand_v"]
+    scale = 1.0 + np.abs(cash)
+    keep = out["finite"] & np.all(np.abs(positions) <= bound, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = keep & np.all(value_v >= -bound, axis=1)
         m = np.sum((h_v / value_v) ** 2, axis=1) / scale
-        m_values[rows[ok]] = m[ok]
-        ok = in_q[rows] & np.all(value_x[:, None] <= bound * weights[rows],
-                                 axis=1)
-        with np.errstate(divide="ignore"):
-            n = np.sum((weights[rows] * h_v) ** 2,
-                       axis=1) / (scale * value_x**2)
-        n_values[rows[ok]] = n[ok]
-
-    rows = np.arange(g)
-    try:
-        fill(rows)
-    except FieldRangeError:
-        for i in range(g):
-            try:
-                fill(rows[i:i + 1])
-            except FieldRangeError:
-                pass
+        m_values[ok] = m[ok]
+        ok = keep & np.all(value_x[:, None] <= bound * weights, axis=1)
+        n = np.sum((weights * h_v) ** 2, axis=1) / (scale * value_x**2)
+        n_values[ok] = n[ok]
     return (m_values, n_values,
             int(np.isnan(m_values).sum()), int(np.isnan(n_values).sum()))
 

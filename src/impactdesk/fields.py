@@ -20,7 +20,17 @@ integral of the matching share partial.  Three consumers sit on top:
   of that value in the utilities argument.
 
 The SDE coefficient row for the dealer system is the integrand's weight
-gradient at the conjugate point on the slope=1 slice.
+gradient at the conjugate point on the slope=1 slice.  Every Newton
+residual evaluates the integrand too, so the row comes from the
+evaluation that converged it; `coefficient_rows` is the one place that
+builds it, for `sde` and `conditions` alike.
+
+Faults are per row.  `field_core` flags a row that leaves double
+precision in its `finite` mask instead of raising, and the conjugate
+solve ends only the row at fault; the single-state entries `eval_field`
+and `normalize_weights` raise FieldRangeError themselves.  Every
+quadrature sum is an einsum, so a row's bits do not depend on the batch
+it is evaluated in, nor therefore on the worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +42,8 @@ from typing import Optional
 import numpy as np
 
 from .market import MarketModel, malliavin_derivative
-from .pareto import sharing_derivatives
+from .pareto import (NumericFailureError, harmonic_aversion,
+                     sharing_derivatives)
 from .quadrature import MAX_STABLE_ORDER, QuadratureRule, degenerate_rule
 from .utility import AgentSet
 
@@ -41,6 +52,16 @@ DEFAULT_ORDER = 64
 
 class FieldRangeError(RuntimeError):
     """Quadrature left the representable range (utility under/overflow)."""
+
+
+def _require_finite(out: dict, t: float):
+    """Raise FieldRangeError if any evaluated row left double precision."""
+    bad = ~out["finite"]
+    if bad.any():
+        raise FieldRangeError(
+            f"field overflow at t={t:g} for {int(bad.sum())} of {bad.size} "
+            "points; the terminal wealth drives the shared utility outside "
+            "double precision")
 
 
 class ConjugateInfeasibleError(RuntimeError):
@@ -83,7 +104,9 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
     level (B,), weights (B,M), cash (B,), position (B,J); scalars
     broadcast.  Returns a dict of arrays keyed like the share partials
     (value, value_x, value_v, ... ) plus integrand / integrand_v when
-    requested.
+    requested, and a (B,) mask `finite` of the rows whose value and cash
+    marginal stayed inside double precision.  A row outside it is
+    reported there, never raised, so it cannot stop the rest of the batch.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("time must lie in [0, 1]")
@@ -103,14 +126,16 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
         agents, np.broadcast_to(v[:, None, :], (b, rule.n, agents.size)),
         wealth, order=need)
 
+    # einsum rather than `@`: BLAS blocks a matrix-vector product by
+    # batch size, so each row's bits would depend on its batch
     w = rule.weights
     out = {
-        "value": d["value"] @ w,
-        "value_x": d["value_x"] @ w,
+        "value": np.einsum("bn,n->b", d["value"], w),
+        "value_x": np.einsum("bn,n->b", d["value_x"], w),
         "value_v": np.einsum("bnm,n->bm", d["value_v"], w),
     }
     if order >= 2:
-        out["value_xx"] = d["value_xx"] @ w
+        out["value_xx"] = np.einsum("bn,n->b", d["value_xx"], w)
         out["value_xv"] = np.einsum("bnm,n->bm", d["value_xv"], w)
         out["value_vv"] = np.einsum("bnmk,n->bmk", d["value_vv"], w)
     if with_integrand:
@@ -118,16 +143,10 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
         slope = g_slope
         if model.n_dividends:
             slope = slope + np.einsum("bj,jbn->bn", q, f_slopes)
-        out["integrand"] = (d["value_x"] * slope) @ w
+        out["integrand"] = np.einsum("bn,bn,n->b", d["value_x"], slope, w)
         out["integrand_v"] = np.einsum("bnm,bn,n->bm", d["value_xv"], slope, w)
 
-    if not (np.isfinite(out["value"]).all()
-            and np.isfinite(out["value_x"]).all()):
-        bad = ~(np.isfinite(out["value"]) & np.isfinite(out["value_x"]))
-        raise FieldRangeError(
-            f"field overflow at t={t:g} for {int(bad.sum())} of {b} points; "
-            f"terminal wealth range [{wealth.min():.3g}, {wealth.max():.3g}] "
-            "drives the shared utility outside double precision")
+    out["finite"] = np.isfinite(out["value"]) & np.isfinite(out["value_x"])
     return out
 
 
@@ -169,6 +188,7 @@ def eval_field(agents: AgentSet, model: MarketModel, t: float, level: float,
             out = field_core(agents, model, used, t, level, weights, cash,
                              position, order=order,
                              with_integrand=with_integrand)
+            _require_finite(out, t)
             if prev is not None and abs(out["value"][0] - prev) <= \
                     rtol * abs(out["value"][0]):
                 break
@@ -180,6 +200,7 @@ def eval_field(agents: AgentSet, model: MarketModel, t: float, level: float,
         used = rule
         out = field_core(agents, model, used, t, level, weights, cash,
                          position, order=order, with_integrand=with_integrand)
+        _require_finite(out, t)
 
     def one(key):
         val = out.get(key)
@@ -212,6 +233,7 @@ def normalize_weights(agents: AgentSet, model: MarketModel,
     z, v, x, q = _batched(level, weights, cash, position,
                           agents.size, model.n_dividends)
     out = field_core(agents, model, rule, t, z, v, x, q, order=1)
+    _require_finite(out, t)
     scaled = v / out["value_x"][:, None]
     return scaled[0] if np.asarray(weights).ndim <= 1 else scaled
 
@@ -246,14 +268,8 @@ class ConjugatePoint:
             iterations=self.iterations)
 
 
-def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
-                     position, warm=None, max_iter=100, tol=1e-10):
-    """Damped Newton in (log-weights, cash); returns solved arrays.
-
-    The residual is log-scaled — log of the marginal ratios — which
-    makes the tolerance meaningful across many orders of magnitude of
-    utility levels and keeps weights positive by construction.
-    """
+def _targets(agents, model, level, utilities, slope, position):
+    """Check the conjugate targets and broadcast them to one batch."""
     u = np.atleast_2d(np.asarray(utilities, dtype=float))
     if np.any(u >= 0):
         raise ValueError("utility targets must be negative")
@@ -265,96 +281,185 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
                           agents.size, model.n_dividends)
     z = np.broadcast_to(z, (b,)) if z.shape[0] == 1 else z
     q = np.broadcast_to(q, (b, model.n_dividends)) if q.shape[0] == 1 else q
+    return z, u, y, q
 
+
+@dataclass(frozen=True)
+class ConjugateRows:
+    """Per-row outcome of the batched conjugate solve.
+
+    coefficient is the weight gradient of the martingale integrand at
+    the solved state.  weights, cash and coefficient are nan on rows
+    that did not converge.
+    """
+
+    weights: np.ndarray       # (B, M)
+    cash: np.ndarray          # (B,)
+    coefficient: np.ndarray   # (B, M)
+    converged: np.ndarray     # (B,) bool
+    iterations: int
+
+
+def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
+                     position, warm=None, max_iter=100,
+                     tol=1e-10) -> ConjugateRows:
+    """Damped Newton in (log-weights, cash), one row per target state.
+
+    The residual is log-scaled — log of the marginal ratios — which
+    makes the tolerance meaningful across many orders of magnitude of
+    utility levels and keeps weights positive by construction.  Every
+    residual evaluation carries the integrand, so a row's coefficient
+    comes from the evaluation that converged it.  A fault in one row —
+    a non-finite start or field row, a non-finite or singular Jacobian —
+    ends that row unconverged and leaves the others alone; a non-finite
+    line-search trial halves only its own row's step.  The targets come
+    checked and broadcast by `_targets`.
+    """
+    z, u, y, q = level, utilities, slope, position
+    b, m = u.shape
     if warm is not None:
         w0, c0 = warm
-        logv = np.log(np.atleast_2d(np.asarray(w0, dtype=float))) \
-            * np.ones((b, 1))
+        logv = np.log(np.broadcast_to(np.asarray(w0, dtype=float), (b, m)))
         cash = np.broadcast_to(
             np.atleast_1d(np.asarray(c0, dtype=float)), (b,)).copy()
     else:
         # constant-aversion guess: exact when every member is exponential
         # and payoffs vanish, close enough to land in the Newton basin
-        a0 = np.asarray(agents.aversion_at_zero)
-        v0 = -y[:, None] / (a0 * u)
-        probe = field_core(agents, model, rule, t, z, v0, np.zeros(b), q,
-                           order=1)
-        abar = 1.0 / np.sum(1.0 / a0)
-        cash = np.log(probe["value_x"] / y) / abar
-        logv = np.log(v0)
+        a0 = agents.aversion_at_zero
+        with np.errstate(over="ignore", divide="ignore"):
+            v0 = -y[:, None] / (a0 * u)
+            logv = np.log(v0)
+        cash = np.full(b, np.nan)
+        rows = np.flatnonzero(np.isfinite(logv).all(axis=1))
+        if rows.size:
+            probe = field_core(agents, model, rule, t, z[rows], v0[rows],
+                               np.zeros(rows.size), q[rows], order=1)
+            cash[rows] = (np.log(probe["value_x"] / y[rows])
+                          / harmonic_aversion(a0))
 
-    def residual(logv_a, cash_a, z_a, q_a):
-        out = field_core(agents, model, rule, t, z_a, np.exp(logv_a), cash_a,
-                         q_a, order=2)
-        rho = np.concatenate(
-            [np.log(-out["value_v"]) - np.log(-u_act),
-             (np.log(out["value_x"]) - np.log(y_act))[:, None]], axis=1)
+    def residual(rows, logv_r, cash_r):
+        with np.errstate(over="ignore"):
+            v = np.exp(logv_r)
+        out = field_core(agents, model, rule, t, z[rows], v, cash_r, q[rows],
+                         order=2, with_integrand=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.concatenate(
+                [np.log(-out["value_v"]) - np.log(-u[rows]),
+                 (np.log(out["value_x"]) - np.log(y[rows]))[:, None]],
+                axis=1)
         return out, rho
 
-    m = agents.size
-    active = np.arange(b)
-    u_act, y_act = u, y
+    coef = np.full((b, m), np.nan)
     converged = np.zeros(b, dtype=bool)
-    out, rho = residual(logv, cash, z, q)
-    out_new = out
+    active = np.flatnonzero(np.isfinite(logv).all(axis=1) & np.isfinite(cash))
+    if active.size:
+        out, rho = residual(active, logv[active], cash[active])
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    while active.size:
         norm = np.abs(rho).max(axis=1)
         done = norm <= tol
-        if done.any():
-            converged[active[done]] = True
-            keep = ~done
-            active = active[keep]
-            if active.size == 0:
-                break
-            u_act, y_act = u[active], y[active]
-            out = {k: val[keep] for k, val in out.items()}
-            rho, norm = rho[keep], norm[keep]
-        z_a, q_a = z[active], q[active]
+        coef[active[done]] = out["integrand_v"][done]
+        converged[active[done]] = True
+        if iterations == max_iter:
+            break
+        iterations += 1
 
-        vv = np.exp(logv[active])
         jac = np.empty((active.size, m + 1, m + 1))
-        jac[:, :m, :m] = vv[:, None, :] * out["value_vv"] \
-            / out["value_v"][:, :, None]
-        jac[:, :m, m] = out["value_xv"] / out["value_v"]
-        jac[:, m, :m] = vv * out["value_xv"] / out["value_x"][:, None]
-        jac[:, m, m] = out["value_xx"] / out["value_x"]
-        try:
-            step = np.linalg.solve(jac, -rho[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            raise ConjugateInfeasibleError(
-                f"singular conjugate system at t={t:g}",
-                indices=tuple(active))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vv = np.exp(logv[active])
+            jac[:, :m, :m] = vv[:, None, :] * out["value_vv"] \
+                / out["value_v"][:, :, None]
+            jac[:, :m, m] = out["value_xv"] / out["value_v"]
+            jac[:, m, :m] = vv * out["value_xv"] / out["value_x"][:, None]
+            jac[:, m, m] = out["value_xx"] / out["value_x"]
+        # open rows go on unless their residual or Jacobian is non-finite
+        # or the Jacobian is singular; a NaN norm is never done
+        go = ~done & np.isfinite(norm) & np.isfinite(jac).all(axis=(1, 2))
+        if go.any():
+            go[go] = np.linalg.slogdet(jac[go])[0] != 0
+        active, rho, norm, jac = active[go], rho[go], norm[go], jac[go]
+        if not active.size:
+            break
+        step = np.linalg.solve(jac, -rho[:, :, None])[:, :, 0]
 
         alpha = np.ones(active.size)
-        trial_v = logv[active] + alpha[:, None] * step[:, :m]
-        trial_c = cash[active] + alpha * step[:, m]
-        out_new = None
+        start_v, start_c = logv[active], cash[active]
         for _ in range(25):
-            try:
-                out_new, rho_new = residual(trial_v, trial_c, z_a, q_a)
-                new_norm = np.abs(rho_new).max(axis=1)
-            except FieldRangeError:
-                out_new = None
-                new_norm = np.full(active.size, np.inf)
-            worse = ~(new_norm <= norm * (1 - 1e-4 * alpha))  # NaN is worse
+            trial_v = start_v + alpha[:, None] * step[:, :m]
+            trial_c = start_c + alpha * step[:, m]
+            out, rho = residual(active, trial_v, trial_c)
+            worse = ~(np.abs(rho).max(axis=1)
+                      <= norm * (1 - 1e-4 * alpha))   # NaN is worse
             if not worse.any():
                 break
             alpha = np.where(worse, alpha / 2, alpha)
-            trial_v = logv[active] + alpha[:, None] * step[:, :m]
-            trial_c = cash[active] + alpha * step[:, m]
+        # the accepted trial's residual doubles as the next iteration's
         logv[active] = trial_v
         cash[active] = trial_c
-        if out_new is None:
-            # the last trial left floating-point range; everything still
-            # open is stuck there, so report it unconverged
-            break
-        # the accepted trial's residual doubles as the next iteration's
-        out, rho = out_new, rho_new
 
-    if active.size and out_new is not None:
-        converged[active[np.abs(rho).max(axis=1) <= tol]] = True
-    return np.exp(logv), cash, converged, iterations, z, q, u, y
+    return ConjugateRows(
+        weights=np.where(converged[:, None], np.exp(logv), np.nan),
+        cash=np.where(converged, cash, np.nan), coefficient=coef,
+        converged=converged, iterations=iterations)
+
+
+def coefficient_rows(agents: AgentSet, model: MarketModel,
+                     rule: QuadratureRule, t: float, level, utilities,
+                     position, warm=None, max_iter: int = 100,
+                     tol: float = 1e-10):
+    """Diffusion rows of the dealer system, one per state, with a mask.
+
+    Solves the conjugate system on the slope-one slice and returns
+    (weights, cash, coefficient, ok), each row computed as it would be
+    alone; a row that does not converge is nan with ok False.  A failed
+    inner multiplier solve is the one fault that stops a whole batch,
+    and only then are the rows solved one at a time.
+    """
+    z, u, y, q = _targets(agents, model, level, utilities, 1.0, position)
+    try:
+        res = _conjugate_batch(agents, model, rule, t, z, u, y, q, warm=warm,
+                               max_iter=max_iter, tol=tol)
+        return res.weights, res.cash, res.coefficient, res.converged
+    except NumericFailureError:
+        pass
+    b, m = u.shape
+    weights, coef = np.full((b, m), np.nan), np.full((b, m), np.nan)
+    cash, ok = np.full(b, np.nan), np.zeros(b, dtype=bool)
+    if warm is not None:
+        warm = (np.broadcast_to(warm[0], (b, m)),
+                np.broadcast_to(warm[1], (b,)))
+    for i in range(b):
+        row = slice(i, i + 1)
+        try:
+            res = _conjugate_batch(
+                agents, model, rule, t, z[row], u[row], y[row], q[row],
+                warm=None if warm is None else (warm[0][row], warm[1][row]),
+                max_iter=max_iter, tol=tol)
+        except NumericFailureError:
+            continue
+        weights[i], cash[i] = res.weights[0], res.cash[0]
+        coef[i], ok[i] = res.coefficient[0], res.converged[0]
+    return weights, cash, coef, ok
+
+
+def _solve(agents, model, rule, t, level, utilities, slope, position,
+           warm=None, max_iter=100, tol=1e-10):
+    """Conjugate point and coefficient rows; raises unless every row
+    converges."""
+    z, u, y, q = _targets(agents, model, level, utilities, slope, position)
+    res = _conjugate_batch(agents, model, rule, t, z, u, y, q, warm=warm,
+                           max_iter=max_iter, tol=tol)
+    if not res.converged.all():
+        bad = np.flatnonzero(~res.converged)
+        raise ConjugateInfeasibleError(
+            f"conjugate solve failed for {bad.size} of "
+            f"{res.converged.size} points at t={t:g} after {max_iter} "
+            "damped Newton steps",
+            indices=tuple(int(i) for i in bad))
+    point = ConjugatePoint(t=t, level=z, utilities=u, slope=y, position=q,
+                           weights=res.weights, cash=res.cash,
+                           value=res.cash * y, iterations=res.iterations)
+    return point, res.coefficient
 
 
 def solve_conjugate(agents: AgentSet, model: MarketModel,
@@ -367,36 +472,23 @@ def solve_conjugate(agents: AgentSet, model: MarketModel,
     the requested utility levels are unreachable at that state (for the
     dealer system this is how explosion shows up).
     """
-    scalar = np.asarray(utilities).ndim <= 1
-    v, cash, ok, iters, z, q, u, y = _conjugate_batch(
-        agents, model, rule, t, level, utilities, slope, position,
-        warm=warm, max_iter=max_iter, tol=tol)
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        raise ConjugateInfeasibleError(
-            f"conjugate solve failed for {bad.size} of {ok.size} points "
-            f"at t={t:g} after {max_iter} damped Newton steps",
-            indices=tuple(int(i) for i in bad))
-    point = ConjugatePoint(t=t, level=z, utilities=u, slope=y, position=q,
-                           weights=v, cash=cash, value=cash * y,
-                           iterations=iters)
-    return point.item() if scalar else point
+    point, _ = _solve(agents, model, rule, t, level, utilities, slope,
+                      position, warm, max_iter, tol)
+    return point.item() if np.asarray(utilities).ndim <= 1 else point
 
 
 def eval_sde_coefficient(agents: AgentSet, model: MarketModel,
                          rule: QuadratureRule, t: float, level, utilities,
                          position=None, warm=None):
-    """Diffusion row of the dealer utility system.
+    """Diffusion row of the dealer system.
 
-    Composes the conjugate solve on the slope=1 slice with the weight
-    gradient of the martingale integrand at the solved state.  Returns
-    (coefficient row(s), conjugate point).
+    The weight gradient of the martingale integrand at the conjugate
+    point on the slope=1 slice, taken from the solve's own last field
+    evaluation.  Returns (coefficient row(s), conjugate point) and
+    raises ConjugateInfeasibleError when a row does not converge.
     """
-    scalar = np.asarray(utilities).ndim <= 1
-    point = solve_conjugate(agents, model, rule, t, level, utilities,
-                            np.ones(np.atleast_2d(utilities).shape[0]),
-                            position, warm=warm)
-    out = field_core(agents, model, rule, t, point.level, point.weights,
-                     point.cash, point.position, order=2, with_integrand=True)
-    coef = out["integrand_v"]
-    return (coef[0], point) if scalar else (coef, point)
+    point, coef = _solve(agents, model, rule, t, level, utilities, 1.0,
+                         position, warm)
+    if np.asarray(utilities).ndim <= 1:
+        return coef[0], point.item()
+    return coef, point

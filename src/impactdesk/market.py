@@ -183,15 +183,9 @@ class MarketModel:
 
     endowment: object = ZERO_PAYOFF
     dividends: tuple = ()
-    horizon: float = 1.0
-    factors: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "dividends", tuple(self.dividends))
-        if self.horizon != 1.0:
-            raise ValueError("horizon is fixed at 1")
-        if self.factors != 1:
-            raise ValueError("only a single driving factor is implemented")
         for p in (self.endowment, *self.dividends):
             if not callable(getattr(p, "value", None)):
                 raise TypeError(f"not a payoff: {p!r}")

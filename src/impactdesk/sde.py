@@ -2,7 +2,7 @@
 
 The state is the vector of dealer utility levels U (all negative), and
 one Euler step moves it by the conjugate-point diffusion row from
-`fields`:
+`fields.coefficient_rows`:
 
     U_{k+1} = U_k + coefficient(t_k, B_k, U_k, Q_k) * dB_k.
 
@@ -21,12 +21,14 @@ raised: it reaches the horizon (completed); some component climbs
 above the explosion threshold -eps (explosion — the system only admits
 a local solution and this is its boundary); or the conjugate solve
 stops converging (conjugate-infeasible — the state left the reachable
-region some other way).
+region some other way).  The solve reports each path's row in a mask,
+so a fault in one path never stops another.
 
 Brownian increments come from counter-based per-path streams keyed by
-(seed, absolute path index), so results are reproducible, independent
-of how paths are split across workers, and shareable between a
-simulation and its quadrature oracle.
+(seed, absolute path index), and each path's coefficient row is
+computed as it would be alone, so results are reproducible, bit-for-bit
+independent of how paths are split across workers, and shareable
+between a simulation and its quadrature oracle.
 """
 
 from __future__ import annotations
@@ -39,10 +41,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import (ConjugateInfeasibleError, FieldRangeError,
-                     _conjugate_batch, field_core)
+from .fields import coefficient_rows, field_core, normalize_weights
 from .market import MarketModel
-from .pareto import NumericFailureError
 from .quadrature import QuadratureRule
 from .utility import AgentSet
 
@@ -214,9 +214,7 @@ def initial_state(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
     q = np.atleast_1d(np.asarray(
         np.zeros(model.n_dividends) if position is None else position,
         dtype=float))
-    out = field_core(agents, model, rule, 0.0, 0.0, v[None, :], [cash],
-                     q[None, :], order=1)
-    v_norm = v / out["value_x"][0]
+    v_norm = normalize_weights(agents, model, rule, 0.0, 0.0, v, cash, q)
     out = field_core(agents, model, rule, 0.0, 0.0, v_norm[None, :], [cash],
                      q[None, :], order=1)
     return InitialState(utilities=out["value_v"][0], weights=v_norm,
@@ -316,51 +314,6 @@ def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:
 # engine
 
 
-def _state_coefficients(agents, model, rule, t, level, utilities, position,
-                        warm_w, warm_c, max_iter, tol):
-    """Solved weights/cash and diffusion rows on the slope-one slice.
-
-    Never raises: a row whose solve fails to converge, whose field
-    evaluation leaves floating-point range, or whose inner multiplier
-    solve fails, comes back with ok=False.  The vectorized attempt is
-    retried row by row only when such a fault poisons the whole batch.
-    """
-    failures = (FieldRangeError, ConjugateInfeasibleError,
-                NumericFailureError)
-    p, m = utilities.shape
-    weights = np.full((p, m), np.nan)
-    cash = np.full(p, np.nan)
-    coeff = np.full((p, m), np.nan)
-    ok = np.zeros(p, dtype=bool)
-
-    def solve_rows(rows):
-        v, c, conv, *_ = _conjugate_batch(
-            agents, model, rule, t, level[rows], utilities[rows],
-            np.ones(rows.size), position[rows],
-            warm=(warm_w[rows], warm_c[rows]), max_iter=max_iter, tol=tol)
-        good = rows[conv]
-        if good.size:
-            out = field_core(agents, model, rule, t, level[good], v[conv],
-                             c[conv], position[good], order=2,
-                             with_integrand=True)
-            weights[good] = v[conv]
-            cash[good] = c[conv]
-            coeff[good] = out["integrand_v"]
-            ok[good] = True
-
-    rows = np.arange(p)
-    try:
-        solve_rows(rows)
-    except failures:
-        ok[:] = False
-        for i in range(p):
-            try:
-                solve_rows(rows[i:i + 1])
-            except failures:
-                pass
-    return weights, cash, coeff, ok
-
-
 def _run_chunk(agents, model, flow, config: SimulationConfig,
                initial: InitialState, first_path: int, n_paths: int,
                record: int = 0,
@@ -435,10 +388,10 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
             u_act = utilities[active]
             q_act = q_full[active]
 
-        weights, cash, coeff, ok = _state_coefficients(
+        weights, cash, coeff, ok = coefficient_rows(
             agents, model, rule, t, level[active], u_act, q_act,
-            warm_w[active], warm_c[active], config.newton_max_iter,
-            config.newton_tol)
+            warm=(warm_w[active], warm_c[active]),
+            max_iter=config.newton_max_iter, tol=config.newton_tol)
         if not ok.all():
             keep = ok
             drop(~ok, k, 2)
@@ -482,15 +435,13 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
             q_term = np.asarray(flow.at(1.0, utilities[rec], level[rec]),
                                 dtype=float)
             q_full[rec] = q_term
-            w_term, c_term, _, ok = _state_coefficients(
+            tr_w[rec, n_steps], tr_c[rec, n_steps], _, _ = coefficient_rows(
                 agents, model, rule, 1.0, level[rec], utilities[rec], q_term,
-                warm_w[rec], warm_c[rec], config.newton_max_iter,
-                config.newton_tol)
+                warm=(warm_w[rec], warm_c[rec]),
+                max_iter=config.newton_max_iter, tol=config.newton_tol)
             tr_b[rec, n_steps] = level[rec]
             tr_u[rec, n_steps] = utilities[rec]
             tr_q[rec, n_steps] = q_term
-            tr_w[rec, n_steps] = np.where(ok[:, None], w_term, np.nan)
-            tr_c[rec, n_steps] = np.where(ok, c_term, np.nan)
 
     terminal = utilities.copy()
     stopped = reasons != 0

@@ -94,6 +94,16 @@ def test_fields_table_matches_closed_form(tmp_path):
     np.testing.assert_allclose(data[:, 13:15], data[:, 11:13], rtol=1e-7)
 
 
+def test_fields_table_marks_overflowing_states(tmp_path):
+    # at cash -5000 the shared utility leaves double precision; each row
+    # says so instead of the run stopping
+    cfg = write_cfg(tmp_path, BASE.replace("cash = 1.5", "cash = -5000"))
+    assert run(["fields", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, data = read_csv(tmp_path / "fields.csv")
+    assert data.shape[0] == 2 * 3
+    assert not np.isfinite(data[:, 6:]).any()
+
+
 def test_simulate_writes_paths_and_summary(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -200,6 +200,36 @@ def test_out_of_box_points_are_skipped_and_counted():
     assert np.isfinite(s.n_values[:, 0]).all()
 
 
+def test_subnormal_dual_point_is_skipped_and_counted():
+    # in the box, but the conjugate solve's cold seed overflows there
+    (u, q), _ = grids()
+    base = eval_functionals(TANH_MIX, LIN, RULE, times=[0.25, 0.5],
+                            dual_grid=(u, q))
+    s = eval_functionals(TANH_MIX, LIN, RULE, times=[0.25, 0.5],
+                         dual_grid=(np.vstack([u, [[-1e-320, -1.0]]]),
+                                    np.vstack([q, [[0.5]]])))
+    assert s.bound == base.bound
+    assert s.l_skipped == base.l_skipped + 2
+    assert np.isnan(s.l_values[:, -1]).all()
+    assert np.array_equal(s.l_values[:, :-1], base.l_values)
+
+
+def test_overflowing_primal_row_is_skipped_and_counted():
+    _, (v, x, q) = grids()
+    base = eval_functionals(EXP_PAIR, LIN, RULE, times=[0.25, 0.5],
+                            primal_grid=(v, x, q))
+    s = eval_functionals(EXP_PAIR, LIN, RULE, times=[0.25, 0.5],
+                         primal_grid=(np.vstack([v, [[1.0, 1.0]]]),
+                                      np.append(x, -5000.0),
+                                      np.vstack([q, [[0.5]]])))
+    assert s.m_skipped == base.m_skipped + 2
+    assert s.n_skipped == base.n_skipped + 2
+    for got, want in ((s.m_values, base.m_values),
+                      (s.n_values, base.n_values)):
+        assert np.isnan(got[:, -1]).all()
+        assert np.array_equal(got[:, :-1], want)
+
+
 def test_functionals_are_nonnegative_and_finite_inside_boxes():
     rng = np.random.default_rng(3)
     g = 12

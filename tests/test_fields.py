@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from impactdesk import fields
 from impactdesk.fields import (
     ConjugateInfeasibleError,
     FieldRangeError,
+    coefficient_rows,
     eval_field,
     eval_sde_coefficient,
     field_core,
@@ -246,6 +248,90 @@ def test_infeasible_after_iteration_budget():
         solve_conjugate(TANH_MIX, LIN_MARKET, RULE, 0.5, 0.0,
                         np.array([-9.0, -1e-4]), 1.0, [0.5], max_iter=1)
     assert exc.value.indices == (0,)
+
+
+def test_subnormal_target_is_infeasible_not_a_crash():
+    # the constant-aversion seed -1/(a u) overflows at a subnormal utility
+    with pytest.raises(ConjugateInfeasibleError) as exc:
+        solve_conjugate(TANH_MIX, LIN_MARKET, RULE, 0.5, 0.0,
+                        np.array([-1e-320, -1.0]), 1.0, [0.5])
+    assert exc.value.indices == (0,)
+
+
+def test_coefficient_rows_do_not_depend_on_their_batch(monkeypatch):
+    rng = np.random.default_rng(11)
+    n = 11
+    # seeded rows, then faulty ones: a state whose field leaves double
+    # precision, a subnormal utility whose cold seed overflows, and
+    # extremes whose residual or Jacobian leaves floating-point range
+    bad = np.array([[-1e200, -1.0], [-1e-320, -1.0], [-1e-300, -1e-300],
+                    [-1e-300, -1e307], [-1.0, -1e300]])
+    u = np.vstack([-np.exp(rng.uniform(-2.0, 1.0, size=(n, 2))), bad])
+    g = u.shape[0]
+    z = rng.normal(size=g)
+    q = rng.uniform(-1.0, 1.0, size=(g, 1))
+    calls = []
+    solve = fields._conjugate_batch
+
+    def counted(*args, **kwargs):
+        calls.append(np.atleast_2d(args[5]).shape[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_conjugate_batch", counted)
+    cold = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.4, z, u, q)
+    assert calls == [g]              # one batch, no row-by-row retry
+    expect = [True] * n + [False] * len(bad)
+    assert cold[3].tolist() == expect
+    # warm starts near the solution; the faulty rows start far out at
+    # cash 400, or at nan, which is a fault of its row
+    far = np.where(np.arange(g) == n, np.nan, 400.0)
+    warm = (np.where(cold[3][:, None], cold[0] * 1.05, 1.0),
+            np.where(cold[3], cold[1] + 0.01, far))
+    for start in (None, warm):
+        batch = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.4, z, u, q,
+                                 warm=start)
+        assert batch[3][:n + 2].tolist() == expect[:n + 2]
+        for i in range(g):
+            row = slice(i, i + 1)
+            one = coefficient_rows(
+                TANH_MIX, LIN_MARKET, RULE, 0.4, z[row], u[row], q[row],
+                warm=None if start is None else (start[0][row],
+                                                 start[1][row]))
+            for got, want in zip(batch, one):
+                assert got[i].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("fault", ["trial", "singular", "nan"])
+def test_row_fault_leaves_other_rows_alone(monkeypatch, fault):
+    # row 1 gets a fault: its first line-search trial comes back out of
+    # range (as an overflowing field row would), or its first Jacobian is
+    # singular or non-finite; row 0 must be solved as if it were alone
+    u = np.array([[-0.3, -0.4], [-0.5, -0.2]])
+    evaluate = fields.field_core
+    residuals = []
+
+    def faulty(*args, **kwargs):
+        out = evaluate(*args, **kwargs)
+        if kwargs.get("with_integrand"):
+            residuals.append(out["finite"].size)
+            if fault == "trial" and residuals == [2, 2]:
+                out["value_x"][1] = np.inf
+                out["finite"][1] = False
+            elif fault == "singular" and residuals == [2]:
+                out["value_vv"][1] = 0.0
+                out["value_xv"][1] = 0.0
+            elif fault == "nan" and residuals == [2]:
+                out["value_xx"][1] = np.nan
+        return out
+
+    monkeypatch.setattr(fields, "field_core", faulty)
+    both = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.4, 0.0, u, [[0.5]])
+    # a bad trial only halves its row's step; a bad Jacobian ends its row
+    assert both[3].tolist() == [True, fault == "trial"]
+    alone = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.4, 0.0, u[:1],
+                             [[0.5]])
+    for got, want in zip(both, alone):
+        assert got[0].tobytes() == want[0].tobytes()
 
 
 def test_target_sign_validation():

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from impactdesk import sde
+from impactdesk import fields
 from impactdesk.market import LinearPayoff, market_model
 from impactdesk.pareto import NumericFailureError
 from impactdesk.quadrature import QuadratureRule
@@ -286,7 +286,7 @@ def test_multiplier_failure_stops_only_its_path(monkeypatch):
     cfg = SimulationConfig(dt=2.0**-3, n_paths=6, seed=5, quadrature_n=8)
     marked = brownian_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps,
                                  cfg.dt)[3, 0]
-    solve = sde._conjugate_batch
+    solve = fields._conjugate_batch
 
     def failing(agents, model, rule, t, level, *args, **kwargs):
         if np.any(level == marked):
@@ -294,7 +294,7 @@ def test_multiplier_failure_stops_only_its_path(monkeypatch):
         return solve(agents, model, rule, t, level, *args, **kwargs)
 
     monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
-    monkeypatch.setattr(sde, "_conjugate_batch", failing)
+    monkeypatch.setattr(fields, "_conjugate_batch", failing)
     summ = run_ensemble(EXP_PAIR, LIN, HALF_FLOW, cfg, cash=1.5)
     assert summ.stop_reasons[3] == INFEASIBLE
     assert summ.taus[3] == cfg.dt
@@ -327,15 +327,24 @@ def test_repeat_runs_identical():
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
-    cfg = SimulationConfig(dt=2.0**-4, n_paths=12, seed=42, quadrature_n=8)
-    monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
-    solo = run_ensemble(EXP_PAIR, LIN, HALF_FLOW, cfg, cash=1.5, record=3)
-    monkeypatch.setenv("IMPACTDESK_WORKERS", "3")
-    split = run_ensemble(EXP_PAIR, LIN, HALF_FLOW, cfg, cash=1.5, record=3)
-    assert np.array_equal(solo.terminal_utilities, split.terminal_utilities)
-    assert solo.stop_reasons == split.stop_reasons
-    assert len(split.recorded) == 3
-    for ra, rb in zip(solo.recorded, split.recorded):
-        assert np.array_equal(ra.utilities, rb.utilities)
-        assert np.array_equal(ra.weights, rb.weights)
-        assert np.array_equal(ra.position, rb.position)
+    # each worker solves its paths in batches of other sizes than a
+    # single worker does; 13 paths also split unevenly (7+6, 5+5+3)
+    for agents in (EXP_PAIR, TANH_MIX):
+        for n_paths, counts in ((12, ("3",)), (13, ("2", "3"))):
+            cfg = SimulationConfig(dt=2.0**-4, n_paths=n_paths, seed=42,
+                                   quadrature_n=8)
+            monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+            solo = run_ensemble(agents, LIN, HALF_FLOW, cfg, cash=1.5,
+                                record=3)
+            for workers in counts:
+                monkeypatch.setenv("IMPACTDESK_WORKERS", workers)
+                split = run_ensemble(agents, LIN, HALF_FLOW, cfg, cash=1.5,
+                                     record=3)
+                assert np.array_equal(solo.terminal_utilities,
+                                      split.terminal_utilities)
+                assert solo.stop_reasons == split.stop_reasons
+                assert len(split.recorded) == 3
+                for ra, rb in zip(solo.recorded, split.recorded):
+                    assert np.array_equal(ra.utilities, rb.utilities)
+                    assert np.array_equal(ra.weights, rb.weights)
+                    assert np.array_equal(ra.position, rb.position)
