@@ -8,7 +8,8 @@ worker count — taken from the IMPACTDESK_WORKERS environment variable
 by the simulation layer — never changes a byte of them.
 
 Exit codes: 0 success (for `check`: some regime certified), 1 check
-found no certificate, 2 bad config or usage.
+found no certificate, 2 bad config or usage, or an initial state whose
+field leaves double precision.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 
 from .conditions import PASS, check_all_regimes
 from .config import ConfigError, ExperimentConfig, load_config
-from .fields import (ConjugateInfeasibleError, eval_sde_coefficient,
-                     field_core)
+from .fields import FieldRangeError, coefficient_rows, field_core
 from .quadrature import QuadratureRule
 from .sde import run_ensemble, strong_error_study
 
@@ -99,24 +99,21 @@ def _run_fields(cfg: ExperimentConfig, out_dir: str) -> int:
               + [f"K{i+1}" for i in range(m)])
     lines = _header(cfg, "fields") + [",".join(header)]
     v = np.asarray(cfg.weights)
+    z = np.asarray(cfg.grid_levels, dtype=float)
     for t in cfg.grid_times:
-        q_rows = _flow_positions(cfg, agents, model, rule, flow, t,
-                                 cfg.grid_levels)
-        for z, q in zip(cfg.grid_levels, q_rows):
-            out = field_core(agents, model, rule, t, [z], v[None],
-                             [cfg.cash], q[None], order=2,
-                             with_integrand=True)
-            # the coefficient row goes back through the conjugate solve;
-            # weight-scale invariance makes it agree with Hv
-            try:
-                coef, _ = eval_sde_coefficient(
-                    agents, model, rule, t, z, out["value_v"][0], q)
-            except ConjugateInfeasibleError:
-                coef = np.full(m, np.nan)
-            row = ([t, z] + list(v) + [cfg.cash] + list(q)
-                   + [out["value"][0], out["value_x"][0]]
-                   + list(out["value_v"][0]) + [out["integrand"][0]]
-                   + list(out["integrand_v"][0]) + list(coef))
+        q = _flow_positions(cfg, agents, model, rule, flow, t, z)
+        out = field_core(agents, model, rule, t, z, v[None], [cfg.cash], q,
+                         order=2, with_integrand=True)
+        # the coefficient rows go back through the conjugate solve, nan
+        # where it does not converge; weight-scale invariance makes them
+        # agree with Hv
+        coef = coefficient_rows(agents, model, rule, t, z, out["value_v"],
+                                q)[2]
+        for i in range(z.size):
+            row = ([t, z[i]] + list(v) + [cfg.cash] + list(q[i])
+                   + [out["value"][i], out["value_x"][i]]
+                   + list(out["value_v"][i]) + [out["integrand"][i]]
+                   + list(out["integrand_v"][i]) + list(coef[i]))
             lines.append(",".join(_fmt(x, p) for x in row))
     _write(os.path.join(out_dir, "fields.csv"), lines)
     print(f"fields: wrote {len(cfg.grid_times) * len(cfg.grid_levels)} "
@@ -245,7 +242,7 @@ def run(argv=None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         _write_echo(out_dir, cfg, args.command)
         return _COMMANDS[args.command](cfg, out_dir)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, FieldRangeError, OSError, ValueError) as exc:
         print(f"impactdesk: {exc}", file=sys.stderr)
         return 2
 

@@ -23,11 +23,12 @@ The SDE coefficient row for the dealer system is the integrand's weight
 gradient at the conjugate point on the slope=1 slice.  Every Newton
 residual evaluates the integrand too, so the row comes from the
 evaluation that converged it; `coefficient_rows` is the one place that
-builds it, for `sde` and `conditions` alike.
+builds it, for `sde`, `conditions` and the `fields` command alike.
 
 Faults are per row.  `field_core` flags a row that leaves double
-precision in its `finite` mask instead of raising, and the conjugate
-solve ends only the row at fault; the single-state entries `eval_field`
+precision, or has a node with no sharing multiplier, in its `finite`
+mask instead of raising, and the conjugate solve ends only the row at
+fault; nothing is retried.  The single-state entries `eval_field`
 and `normalize_weights` raise FieldRangeError themselves.  Every
 quadrature sum is an einsum, so a row's bits do not depend on the batch
 it is evaluated in, nor therefore on the worker count.
@@ -42,8 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .market import MarketModel, malliavin_derivative
-from .pareto import (NumericFailureError, harmonic_aversion,
-                     sharing_derivatives)
+from .pareto import harmonic_aversion, sharing_derivatives
 from .quadrature import MAX_STABLE_ORDER, QuadratureRule, degenerate_rule
 from .utility import AgentSet
 
@@ -409,37 +409,16 @@ def coefficient_rows(agents: AgentSet, model: MarketModel,
                      tol: float = 1e-10):
     """Diffusion rows of the dealer system, one per state, with a mask.
 
-    Solves the conjugate system on the slope-one slice and returns
-    (weights, cash, coefficient, ok), each row computed as it would be
-    alone; a row that does not converge is nan with ok False.  A failed
-    inner multiplier solve is the one fault that stops a whole batch,
-    and only then are the rows solved one at a time.
+    Solves the conjugate system on the slope-one slice in one batch and
+    returns (weights, cash, coefficient, ok), each row computed as it
+    would be alone.  A row that does not converge — a row with no sharing
+    multiplier included, whose field comes back NaN — is nan with ok
+    False; nothing is retried.
     """
     z, u, y, q = _targets(agents, model, level, utilities, 1.0, position)
-    try:
-        res = _conjugate_batch(agents, model, rule, t, z, u, y, q, warm=warm,
-                               max_iter=max_iter, tol=tol)
-        return res.weights, res.cash, res.coefficient, res.converged
-    except NumericFailureError:
-        pass
-    b, m = u.shape
-    weights, coef = np.full((b, m), np.nan), np.full((b, m), np.nan)
-    cash, ok = np.full(b, np.nan), np.zeros(b, dtype=bool)
-    if warm is not None:
-        warm = (np.broadcast_to(warm[0], (b, m)),
-                np.broadcast_to(warm[1], (b,)))
-    for i in range(b):
-        row = slice(i, i + 1)
-        try:
-            res = _conjugate_batch(
-                agents, model, rule, t, z[row], u[row], y[row], q[row],
-                warm=None if warm is None else (warm[0][row], warm[1][row]),
-                max_iter=max_iter, tol=tol)
-        except NumericFailureError:
-            continue
-        weights[i], cash[i] = res.weights[0], res.cash[0]
-        coef[i], ok[i] = res.coefficient[0], res.converged[0]
-    return weights, cash, coef, ok
+    res = _conjugate_batch(agents, model, rule, t, z, u, y, q, warm=warm,
+                           max_iter=max_iter, tol=tol)
+    return res.weights, res.cash, res.coefficient, res.converged
 
 
 def _solve(agents, model, rule, t, level, utilities, slope, position,
@@ -453,8 +432,8 @@ def _solve(agents, model, rule, t, level, utilities, slope, position,
         bad = np.flatnonzero(~res.converged)
         raise ConjugateInfeasibleError(
             f"conjugate solve failed for {bad.size} of "
-            f"{res.converged.size} points at t={t:g} after {max_iter} "
-            "damped Newton steps",
+            f"{res.converged.size} points at t={t:g} after "
+            f"{res.iterations} damped Newton steps",
             indices=tuple(int(i) for i in bad))
     point = ConjugatePoint(t=t, level=z, utilities=u, slope=y, position=q,
                            weights=res.weights, cash=res.cash,

@@ -12,7 +12,9 @@ The solver runs a bracket-safeguarded Newton iteration in log(lam)
 band [1/c, c] bounds the slope of the aggregate response away from zero
 and infinity, which yields an a-priori bracket around any initial guess.
 Points that meet their tolerance are frozen while the rest iterate, so
-each point's result is the same whatever batch it is solved in.  All
+each point's result is the same whatever batch it is solved in; a point
+with no multiplier (a non-finite residual, or still open at the
+iteration cap) comes back NaN, and nothing is raised or retried.  All
 partial derivatives of the sharing value follow from the envelope theorem
 and implicit differentiation of the first-order conditions; risk
 tolerances t_m = 1/a_m evaluated at the optimal allocation carry all the
@@ -51,10 +53,6 @@ def _quiet(fn):
     return wrapper
 
 
-class NumericFailureError(RuntimeError):
-    """An internal iteration failed to converge; should be unreachable."""
-
-
 class DegenerateWeightsError(ValueError):
     """Weight components spread over more than WEIGHT_RATIO_LIMIT."""
 
@@ -86,7 +84,9 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     l, allocations and bracket, and only the open rows take further
     steps.  Every row therefore follows its own iteration, and its result
     does not depend on which other rows share the batch.  A row whose
-    residual is NaN never counts as converged.
+    residual is not finite has no root to bracket and ends at once; a row
+    still open after 100 steps ends there.  Both return NaN l and NaN
+    allocations.
     """
     members = agents.members
     nm = len(members)
@@ -117,8 +117,14 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
 
     tol = atol_scale * (1.0 + np.abs(x))
     rows = np.arange(x.size)
-    for _ in range(100):
+    for it in range(101):
         open_ = ~(np.abs(psi) <= tol)
+        end = open_ if it == 100 else open_ & ~np.isfinite(psi)
+        if end.any():
+            l[rows[end]] = np.nan
+            for xm in xhat:
+                xm[rows[end]] = np.nan
+            open_ &= ~end
         if not open_.any():
             break
         rows, psi, tol = rows[open_], psi[open_], tol[open_]
@@ -133,8 +139,6 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
         xr, psi = residual(lr, rows)
         for m in range(nm):
             xhat[m][rows] = xr[m]
-    else:
-        raise NumericFailureError("multiplier iteration did not converge")
     return l.reshape(shape), [xm.reshape(shape) for xm in xhat]
 
 

@@ -63,7 +63,6 @@ class ConstantFlow:
 
     def __init__(self, position):
         self.position = np.atleast_1d(np.asarray(position, dtype=float))
-        self.label = "constant"
 
     @property
     def initial_position(self) -> np.ndarray:
@@ -89,7 +88,6 @@ class ScheduleFlow:
         if self.times.size == 0 or self.times[0] != 0.0 \
                 or np.any(np.diff(self.times) <= 0):
             raise ValueError("schedule times must start at 0 and increase")
-        self.label = "schedule"
 
     @property
     def initial_position(self) -> np.ndarray:
@@ -114,15 +112,13 @@ class FeedbackFlow:
     declared — the flow promises |position| never exceeds it.
     """
 
-    def __init__(self, rule: Callable, initial_position, local_bound: float,
-                 label: str = "feedback"):
+    def __init__(self, rule: Callable, initial_position, local_bound: float):
         self.rule = rule
         self._initial = np.atleast_1d(np.asarray(initial_position,
                                                  dtype=float))
         self._bound = float(local_bound)
         if self._initial.size and not self._bound > 0:
             raise ValueError("feedback flow needs a positive local bound")
-        self.label = label
 
     @property
     def initial_position(self) -> np.ndarray:
@@ -154,7 +150,7 @@ def step_feedback(t_switch: float, before, after) -> FeedbackFlow:
     rule = _StepRule(t_switch, before, after)
     bound = max(float(np.abs(rule.before).max(initial=0.0)),
                 float(np.abs(rule.after).max(initial=0.0)))
-    return FeedbackFlow(rule, rule.before, bound, label="step-feedback")
+    return FeedbackFlow(rule, rule.before, bound)
 
 
 # --------------------------------------------------------------------------
@@ -579,6 +575,11 @@ class StrongErrorStudy:
         return "\n".join(rows)
 
 
+def _mean(a: np.ndarray) -> float:
+    """Mean of a; nan, without numpy's empty-slice warning, when empty."""
+    return float(a.mean()) if a.size else float("nan")
+
+
 def strong_error_study(agents: AgentSet, model: MarketModel, flow,
                        config: SimulationConfig, dts: Sequence[float],
                        weights=None, cash: float = 0.0) -> StrongErrorStudy:
@@ -608,13 +609,12 @@ def strong_error_study(agents: AgentSet, model: MarketModel, flow,
         chunk = _run_chunk(agents, model, flow, replace(config, dt=d),
                            init, 0, p, increments=inc)
         done = np.array([r == COMPLETED for r in chunk["reasons"]])
-        errors.append(float(
-            np.abs(chunk["terminal"][done] - oracle[done]).mean()))
-        sim_means.append(float(chunk["terminal"][done].mean()))
+        errors.append(_mean(np.abs(chunk["terminal"][done] - oracle[done])))
+        sim_means.append(_mean(chunk["terminal"][done]))
         completed.append(int(done.sum()))
         all_done &= done
     ratios = tuple(errors[i] / errors[i + 1] for i in range(len(errors) - 1))
     return StrongErrorStudy(dts=tuple(dts_desc), errors=tuple(errors),
                             ratios=ratios, sim_means=tuple(sim_means),
-                            oracle_mean=float(oracle[all_done].mean()),
+                            oracle_mean=_mean(oracle[all_done]),
                             n_completed=tuple(completed))

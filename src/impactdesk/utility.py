@@ -51,13 +51,11 @@ class ConstantAversion:
 
     order = 64
     bounded = True
-    label = "constant"
 
     def __init__(self, level: float):
         if level <= 0:
             raise InvalidRiskAversionError("aversion level must be positive")
         self.level = float(level)
-        self.params = {"level": self.level}
 
     def derivatives(self, x, order: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -75,7 +73,6 @@ class TanhAversion:
 
     order = 64
     bounded = True
-    label = "tanh"
 
     def __init__(self, base: float, amplitude: float, scale: float = 1.0):
         if base - abs(amplitude) <= 0:
@@ -83,8 +80,6 @@ class TanhAversion:
         self.base = float(base)
         self.amplitude = float(amplitude)
         self.scale = float(scale)
-        self.params = {"base": self.base, "amplitude": self.amplitude,
-                       "scale": self.scale}
         self._polys = [Polynomial([1.0, 0.0, -1.0])]  # d tanh = 1 - t^2
 
     def _poly(self, n: int) -> Polynomial:
@@ -114,7 +109,6 @@ class SinSquareAversion:
 
     order = 16
     bounded = False
-    label = "sin_square"
 
     def __init__(self, base: float, amplitude: float, scale: float = 1.0):
         if base - abs(amplitude) <= 0:
@@ -122,8 +116,6 @@ class SinSquareAversion:
         self.base = float(base)
         self.amplitude = float(amplitude)
         self.scale = float(scale)
-        self.params = {"base": self.base, "amplitude": self.amplitude,
-                       "scale": self.scale}
         # d/dx [P sin(u) + Q cos(u)] with u = (scale*x)^2:
         #   P <- P' + 2 scale^2 x * ... maintained as polynomial pairs
         self._pairs = [(Polynomial([self.amplitude]), Polynomial([0.0]))]
@@ -145,32 +137,6 @@ class SinSquareAversion:
             p, q = self._pair(k)
             out[k] = p(x) * su + q(x) * cu
         out[0] += self.base
-        return out
-
-
-class FunctionAversion:
-    """Aversion profile given by callables for a and its derivatives."""
-
-    label = "custom"
-
-    def __init__(self, fn, derivs=(), bounded=None, label="custom"):
-        self.fn = fn
-        self.derivs = tuple(derivs)
-        self.order = len(self.derivs)
-        self.bounded = bounded
-        self.label = label
-        self.params = {}
-
-    def derivatives(self, x, order: int = 0) -> np.ndarray:
-        if order > self.order:
-            raise UnsupportedOrderError(
-                f"aversion profile provides {self.order} derivatives, "
-                f"order {order} requested")
-        x = np.asarray(x, dtype=float)
-        out = np.empty((order + 1,) + x.shape)
-        out[0] = self.fn(x)
-        for k in range(1, order + 1):
-            out[k] = self.derivs[k - 1](x)
         return out
 
 
@@ -318,12 +284,6 @@ class UtilitySpec:
     coefficient: float | None = None
     aversion: object | None = None
     tables: _Tables | None = field(default=None, repr=False)
-
-    def describe(self) -> str:
-        if self.family == "exponential":
-            return f"exponential(a={self.coefficient:g})"
-        params = ", ".join(f"{k}={v:g}" for k, v in self.aversion.params.items())
-        return f"{self.aversion.label}({params})"
 
 
 def exponential_utility(a: float, c_bound: float | None = None,

@@ -122,13 +122,25 @@ def test_simulate_writes_paths_and_summary(tmp_path):
     assert not os.path.exists(tmp_path / "path-0002.csv")
 
 
+STEP = (BASE.replace("kind = constant\nposition = 0.5",
+                     "kind = step\nswitch = 0.5\nbefore = 0.5\nafter = 20")
+        .replace("dt = 0.03125", "dt = 0.00390625")
+        .replace("paths = 40", "paths = 2"))
+
+
+def test_overflowing_initial_state_exits_two(tmp_path, capsys):
+    # at cash -5000 the initial weights cannot be normalized: a one-line
+    # error, not a traceback, and not the "no certificate" code 1
+    cfg = write_cfg(tmp_path, BASE.replace("cash = 1.5", "cash = -5000"))
+    for command in ("simulate", "oracle"):
+        assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("impactdesk: field overflow")
+        assert "Traceback" not in err
+
+
 def test_simulate_marks_the_stop_row(tmp_path):
-    text = BASE.replace("kind = constant\nposition = 0.5",
-                        "kind = step\nswitch = 0.5\nbefore = 0.5\n"
-                        "after = 20")
-    text = text.replace("dt = 0.03125", "dt = 0.00390625")
-    text = text.replace("paths = 40", "paths = 2")
-    cfg = write_cfg(tmp_path, text)
+    cfg = write_cfg(tmp_path, STEP)
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
     summary = (tmp_path / "summary.txt").read_text()
     assert "explosion = 2" in summary
@@ -175,6 +187,15 @@ def test_oracle_in_log_coordinates_is_exact_here(tmp_path):
     assert run(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 0
     _, data = read_csv(tmp_path / "oracle.csv")
     assert np.all(data[:, 5] <= 1e-12)
+
+
+def test_oracle_without_completed_paths_reports_nan(tmp_path):
+    # every path explodes at every dt: no mean to take, and no warning
+    cfg = write_cfg(tmp_path, STEP)
+    assert run(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, data = read_csv(tmp_path / "oracle.csv")
+    assert np.all(data[:, 2] == 0.0)
+    assert np.isnan(data[:, 3:]).all()
 
 
 def test_oracle_rejects_too_coarse_ladder(tmp_path, capsys):

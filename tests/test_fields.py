@@ -251,8 +251,10 @@ def test_infeasible_after_iteration_budget():
 
 
 def test_subnormal_target_is_infeasible_not_a_crash():
-    # the constant-aversion seed -1/(a u) overflows at a subnormal utility
-    with pytest.raises(ConjugateInfeasibleError) as exc:
+    # the constant-aversion seed -1/(a u) overflows at a subnormal
+    # utility, so no Newton step runs
+    with pytest.raises(ConjugateInfeasibleError,
+                       match="after 0 damped Newton steps") as exc:
         solve_conjugate(TANH_MIX, LIN_MARKET, RULE, 0.5, 0.0,
                         np.array([-1e-320, -1.0]), 1.0, [0.5])
     assert exc.value.indices == (0,)
@@ -288,8 +290,10 @@ def test_coefficient_rows_do_not_depend_on_their_batch(monkeypatch):
     warm = (np.where(cold[3][:, None], cold[0] * 1.05, 1.0),
             np.where(cold[3], cold[1] + 0.01, far))
     for start in (None, warm):
+        calls.clear()
         batch = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.4, z, u, q,
                                  warm=start)
+        assert calls == [g]
         assert batch[3][:n + 2].tolist() == expect[:n + 2]
         for i in range(g):
             row = slice(i, i + 1)

@@ -10,7 +10,6 @@ from impactdesk import pareto
 from impactdesk.pareto import (
     WEIGHT_RATIO_LIMIT,
     DegenerateWeightsError,
-    NumericFailureError,
     exponential_point,
     harmonic_aversion,
     pareto_point,
@@ -258,6 +257,19 @@ def test_multiplier_solve_work_bound(monkeypatch):
     assert elems[0] <= 5 * x.size * nm
 
 
+def test_rows_open_at_the_iteration_cap_come_back_nan():
+    # with zero tolerance only an exact root converges; the other rows
+    # take all 100 steps and end there, without raising
+    v, x = _seeded_rows(20, 7)
+    l, alloc = pareto._solve_log_multiplier(TANH_EXP, np.log(v), x,
+                                            atol_scale=0.0)
+    capped = np.isnan(l)
+    assert 0 < capped.sum() < x.size
+    for xm in alloc:
+        assert np.array_equal(np.isnan(xm), capped)
+    assert np.all(sum(alloc)[~capped] == x[~capped])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-110.0, 110.0)),
                 min_size=1, max_size=8))
@@ -268,9 +280,15 @@ def test_multiplier_solve_at_extreme_weights_and_wealth(rows):
     r = np.array([q for q, _ in rows]) * half
     v = np.exp(np.stack([r, -r], axis=-1))
     x = np.array([w for _, w in rows])
-    alloc = sharing_derivatives(TANH_EXP, v, x, order=1)["allocation"]
+    d = sharing_derivatives(TANH_EXP, v, x, order=1)
+    alloc = d["allocation"]
     psi = sum(alloc[:, m] for m in range(TANH_EXP.size)) - x
     assert np.all(np.abs(psi) <= 1e-13 * (1.0 + np.abs(x)))
-    with pytest.raises(NumericFailureError):
-        sharing_derivatives(TANH_EXP, np.vstack([v, [[1.0, 1.0]]]),
-                            np.append(x, np.nan), order=1)
+    # a NaN-wealth row has no multiplier: it comes back NaN, and the
+    # others as if it were not there
+    k = len(rows) // 2
+    bad = sharing_derivatives(TANH_EXP, np.insert(v, k, [1.0, 1.0], axis=0),
+                              np.insert(x, k, np.nan), order=1)
+    for key in ("log_multiplier", "allocation"):
+        assert np.isnan(bad[key][k]).all()
+        assert np.delete(bad[key], k, axis=0).tobytes() == d[key].tobytes()

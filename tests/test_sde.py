@@ -13,7 +13,6 @@ import pytest
 
 from impactdesk import fields
 from impactdesk.market import LinearPayoff, market_model
-from impactdesk.pareto import NumericFailureError
 from impactdesk.quadrature import QuadratureRule
 from impactdesk.sde import (COMPLETED, EXPLOSION, INFEASIBLE, ConstantFlow,
                             FeedbackFlow, ScheduleFlow, SimulationConfig,
@@ -281,20 +280,23 @@ def test_explosion_stop_adversarial_feedback():
 
 
 def test_multiplier_failure_stops_only_its_path(monkeypatch):
-    # the solver raises for every batch holding path 3 from step 1 on,
-    # identified by its first Brownian level
+    # the conjugate solve sees NaN field rows for path 3 from step 1 on,
+    # as from a multiplier solve with no root; the path is identified by
+    # its first Brownian level
     cfg = SimulationConfig(dt=2.0**-3, n_paths=6, seed=5, quadrature_n=8)
     marked = brownian_increments(cfg.seed, 0, cfg.n_paths, cfg.n_steps,
                                  cfg.dt)[3, 0]
-    solve = fields._conjugate_batch
+    evaluate = fields.field_core
 
-    def failing(agents, model, rule, t, level, *args, **kwargs):
-        if np.any(level == marked):
-            raise NumericFailureError("multiplier iteration did not converge")
-        return solve(agents, model, rule, t, level, *args, **kwargs)
+    def faulty(agents, model, rule, t, level, *args, **kwargs):
+        out = evaluate(agents, model, rule, t, level, *args, **kwargs)
+        bad = np.asarray(level) == marked
+        for val in out.values():
+            val[bad] = False if val.dtype == bool else np.nan
+        return out
 
     monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
-    monkeypatch.setattr(fields, "_conjugate_batch", failing)
+    monkeypatch.setattr(fields, "field_core", faulty)
     summ = run_ensemble(EXP_PAIR, LIN, HALF_FLOW, cfg, cash=1.5)
     assert summ.stop_reasons[3] == INFEASIBLE
     assert summ.taus[3] == cfg.dt
