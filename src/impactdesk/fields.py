@@ -29,9 +29,17 @@ Faults are per row.  `field_core` flags a row that leaves double
 precision, or has a node with no sharing multiplier, in its `finite`
 mask instead of raising, and the conjugate solve ends only the row at
 fault; nothing is retried.  The single-state entries `eval_field`
-and `normalize_weights` raise FieldRangeError themselves.  Every
-quadrature sum is an einsum, so a row's bits do not depend on the batch
-it is evaluated in, nor therefore on the worker count.
+and `normalize_weights` raise FieldRangeError themselves.
+
+`field_core` hands `pareto.sharing_planes` one weight row per state, not
+one per node, and gets the share partials back as a single (K, B, n)
+stack of contiguous planes, one per partial and member component.  One
+einsum sums every plane against the rule weights, and one more sums the
+slope-weighted cash-marginal planes into the integrand.  Each sum runs
+along a contiguous row of n nodes in an order fixed by n alone, the
+order the scalar partials were always summed in, so a row's bits do not
+depend on the batch it is evaluated in, nor therefore on the worker
+count; BLAS `@` would block the sums by batch size and break that.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .market import MarketModel, malliavin_derivative
-from .pareto import harmonic_aversion, sharing_derivatives
+from .pareto import harmonic_aversion, plane_rows, sharing_planes, unstack
 from .quadrature import MAX_STABLE_ORDER, QuadratureRule, degenerate_rule
 from .utility import AgentSet
 
@@ -122,29 +130,26 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
         wealth = wealth + q[:, j:j + 1] * payoff.value(nodes)
 
     need = max(order, 2 if with_integrand else order)
-    d = sharing_derivatives(
-        agents, np.broadcast_to(v[:, None, :], (b, rule.n, agents.size)),
-        wealth, order=need)
+    stack = sharing_planes(agents, v[:, None, :], wealth,
+                           order=need)["stack"]               # (K, B, n)
 
-    # einsum rather than `@`: BLAS blocks a matrix-vector product by
-    # batch size, so each row's bits would depend on its batch
+    # each plane is summed along its own contiguous row of nodes, in an
+    # order fixed by the node count, so a row's sums are the same bits
+    # in any batch (BLAS `@` would block them by batch size)
     w = rule.weights
-    out = {
-        "value": np.einsum("bn,n->b", d["value"], w),
-        "value_x": np.einsum("bn,n->b", d["value_x"], w),
-        "value_v": np.einsum("bnm,n->bm", d["value_v"], w),
-    }
-    if order >= 2:
-        out["value_xx"] = np.einsum("bn,n->b", d["value_xx"], w)
-        out["value_xv"] = np.einsum("bnm,n->bm", d["value_xv"], w)
-        out["value_vv"] = np.einsum("bnmk,n->bmk", d["value_vv"], w)
+    out = unstack(np.einsum("kbn,n->kb", stack, w), agents.size, order)
     if with_integrand:
         g_slope, f_slopes = malliavin_derivative(model, nodes)
         slope = g_slope
         if model.n_dividends:
             slope = slope + np.einsum("bj,jbn->bn", q, f_slopes)
-        out["integrand"] = np.einsum("bn,bn,n->b", d["value_x"], slope, w)
-        out["integrand_v"] = np.einsum("bnm,bn,n->bm", d["value_xv"], slope, w)
+        # value_x and value_xv are adjacent planes; the slope weights them
+        # inside the sum, with no (B, n) product formed
+        rows = plane_rows(agents.size, need)
+        xv = slice(rows["value_x"].start, rows["value_xv"].stop)
+        sums = np.einsum("kbn,bn,n->kb", stack[xv], slope, w)
+        out["integrand"] = sums[0]
+        out["integrand_v"] = sums[1:].T
 
     out["finite"] = np.isfinite(out["value"]) & np.isfinite(out["value_x"])
     return out

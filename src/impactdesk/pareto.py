@@ -11,7 +11,8 @@ The solver runs a bracket-safeguarded Newton iteration in log(lam)
 (the "rtsafe" hybrid of Numerical Recipes, section 9.4).  The aversion
 band [1/c, c] bounds the slope of the aggregate response away from zero
 and infinity, which yields an a-priori bracket around any initial guess.
-Points that meet their tolerance are frozen while the rest iterate, so
+Only the points left open by the first residual get brackets, and
+points that meet their tolerance are frozen while the rest iterate, so
 each point's result is the same whatever batch it is solved in; a point
 with no multiplier (a non-finite residual, or still open at the
 iteration cap) comes back NaN, and nothing is raised or retried.  All
@@ -19,6 +20,17 @@ partial derivatives of the sharing value follow from the envelope theorem
 and implicit differentiation of the first-order conditions; risk
 tolerances t_m = 1/a_m evaluated at the optimal allocation carry all the
 second- and third-order structure.
+
+`sharing_planes` assembles the partials as planes: one array over the
+points per partial and member component, all in one stack that a caller
+can reduce in a single pass (`fields` sums it over quadrature nodes).
+Every second-order plane is built from lam * t_m and t_n / T with
+T = sum_m t_m.  A constant-aversion member's t_m is one number rather
+than an array of one value, and T is one number when every member has
+constant aversion.  Weights keep their own shape, so one weight row per
+row of points costs one row, not one value per point.
+`sharing_derivatives` is the same math with the member axes stacked last,
+bit for bit.
 
 The constant-aversion (exponential) family admits closed forms which the
 tests use as an oracle for the generic numerical path.
@@ -28,13 +40,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .utility import (
     AgentSet,
     inverse_log_marginal,
-    log_marginal,
     risk_aversion,
     utility_value,
 )
@@ -77,46 +89,59 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     """Solve sum_m (u_m')^{-1}(exp(l) / v^m) = x for l = log(lam).
 
     logv carries the member axis last and must broadcast against x after
-    dropping it.  Returns (l, allocations list).
+    dropping it; l and the allocations come back in the broadcast shape.
+    Returns (l, allocations list).
 
-    The points are flattened into rows and iterated through an
-    active-index array: a row that meets its tolerance is frozen with its
-    l, allocations and bracket, and only the open rows take further
-    steps.  Every row therefore follows its own iteration, and its result
-    does not depend on which other rows share the batch.  A row whose
-    residual is not finite has no root to bracket and ends at once; a row
-    still open after 100 steps ends there.  Both return NaN l and NaN
-    allocations.
+    The first residual is taken at every point at once, with logv at its
+    own shape: weights shared by a row of points are never repeated per
+    point.  Only the points still open after it get a row index, a
+    bracket and a tolerance, and they iterate through an active-index
+    array: a row that meets its tolerance is frozen with its l,
+    allocations and bracket, and only the open rows take further steps.
+    Every point therefore follows its own iteration, and its result does
+    not depend on which other points share the batch.  A row whose
+    residual is not finite has no root to bracket and ends at once; a
+    row still open after 100 steps ends there.  Both return NaN l and
+    NaN allocations.
     """
     members = agents.members
     nm = len(members)
     shape = np.broadcast_shapes(logv.shape[:-1], x.shape)
-    x = np.broadcast_to(x, shape).reshape(-1)
-    logv = np.broadcast_to(logv, shape + (nm,)).reshape(-1, nm)
-    c = agents.c
-    a0 = agents.aversion_at_zero
-    t0 = 1.0 / a0
+    if not shape:       # one point: solve it as a row of one
+        l, xhat = _solve_log_multiplier(agents, logv.reshape(1, nm),
+                                        x.reshape(1), atol_scale)
+        return l.reshape(()), [xm.reshape(()) for xm in xhat]
+    t0 = 1.0 / agents.aversion_at_zero
     # constant-aversion proxy: exact for exponential members, a good seed
     # otherwise
-    l = np.zeros(x.shape)
+    l = 0.0
     for m in range(nm):
-        l = l + t0[m] * logv[:, m]
+        l = l + t0[m] * logv[..., m]
     l = (l - x) / t0.sum()
+    xhat = [inverse_log_marginal(members[m], (l - logv[..., m]).reshape(-1))
+            for m in range(nm)]
+    l = l.reshape(-1)
+    x = np.broadcast_to(x, shape).reshape(-1)
+    psi = sum(xhat) - x
+    rows = np.flatnonzero(~(np.abs(psi) <= atol_scale * (1.0 + np.abs(x))))
+    if not rows.size:
+        return l.reshape(shape), [xm.reshape(shape) for xm in xhat]
+
+    logv = np.broadcast_to(logv, shape + (nm,))
 
     def residual(lcur, rows):
-        xhat = [inverse_log_marginal(members[m], lcur - logv[rows, m])
-                for m in range(nm)]
-        return xhat, sum(xhat) - x[rows]
+        lv = logv[np.unravel_index(rows, shape)]
+        xr = [inverse_log_marginal(members[m], lcur - lv[:, m])
+              for m in range(nm)]
+        return xr, sum(xr) - x[rows]
 
-    xhat, psi = residual(l, slice(None))
+    psi, lr = psi[rows], l[rows]
     # aversion band => |dpsi/dl| in [M/c, M*c], so the root sits within
     # |psi| * c/M of the current point; no need to probe the endpoints
-    span = c / nm
-    lo = l + np.minimum(psi, 0.0) * span
-    hi = l + np.maximum(psi, 0.0) * span
-
-    tol = atol_scale * (1.0 + np.abs(x))
-    rows = np.arange(x.size)
+    span = agents.c / nm
+    lo = lr + np.minimum(psi, 0.0) * span
+    hi = lr + np.maximum(psi, 0.0) * span
+    tol = atol_scale * (1.0 + np.abs(x[rows]))
     for it in range(101):
         open_ = ~(np.abs(psi) <= tol)
         end = open_ if it == 100 else open_ & ~np.isfinite(psi)
@@ -131,7 +156,7 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
         lo, hi, lr = lo[open_], hi[open_], l[rows]
         lo = np.where(psi > 0.0, lr, lo)
         hi = np.where(psi <= 0.0, lr, hi)
-        slope = sum(1.0 / risk_aversion(members[m], xhat[m][rows])[0]
+        slope = sum(1.0 / _aversion(members[m], xhat[m][rows])[0]
                     for m in range(nm))
         l_new = lr + psi / slope
         outside = (l_new <= lo) | (l_new >= hi)
@@ -142,7 +167,119 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     return l.reshape(shape), [xm.reshape(shape) for xm in xhat]
 
 
+def _aversion(spec, x, order: int = 0):
+    """risk_aversion at x; for a constant-aversion member one value per
+    derivative instead of a full array of one value."""
+    return risk_aversion(spec, 0.0 if spec.family == "exponential" else x,
+                         order)
+
+
+# ---------------------------------------------------------------------------
+# planes
+
+
+# the sharing partials in stacking order, each with its number of member
+# axes; the keys of orders 1 and 2 are prefixes of the next order's, and
+# value_x sits right before value_xv
+_PLANE_KEYS = (("value", 0), ("value_v", 1), ("value_x", 0),
+               ("value_xv", 1), ("value_xx", 0), ("value_vv", 2),
+               ("value_xxx", 0), ("value_xxv", 1))
+_ORDER_KEYS = {1: 3, 2: 6, 3: 8}
+
+
+@functools.cache
+def plane_rows(n_members: int, order: int) -> MappingProxyType:
+    """Rows of a plane stack that hold each partial: key -> slice."""
+    rows, k = {}, 0
+    for key, axes in _PLANE_KEYS[:_ORDER_KEYS[order]]:
+        rows[key] = slice(k, k + n_members ** axes)
+        k = rows[key].stop
+    return MappingProxyType(rows)
+
+
+def unstack(stack: np.ndarray, n_members: int, order: int) -> dict:
+    """Split a plane stack into its partials, as views with the member
+    axes last.
+
+    stack is (K,) + shape, laid out by `plane_rows`: the stack itself,
+    or any array reduced from it over the point axes (a quadrature sum,
+    say).  Only the partials of `order` are read, so a stack built for a
+    higher order splits as well.
+    """
+    out = {}
+    points = stack.ndim - 1
+    for (key, axes), rows in zip(_PLANE_KEYS,
+                                 plane_rows(n_members, order).values()):
+        part = stack[rows].reshape((n_members,) * axes + stack.shape[1:])
+        out[key] = part.transpose(*range(axes, axes + points), *range(axes))
+    return out
+
+
 @_quiet
+def sharing_planes(agents: AgentSet, v: np.ndarray, x: np.ndarray,
+                   order: int = 2) -> dict:
+    """Sharing value and partials as one stack of planes.
+
+    Takes v and x as `sharing_derivatives` does.  A plane is one partial,
+    or one member component of it, over the broadcast shape of the
+    points; the planes are stacked in the order of `plane_rows` into one
+    (K,) + shape array, so a caller can reduce them all in one pass.
+    Weights stay at their own shape: given one weight row per row of
+    points, say (B, 1, M) against (B, n) wealth, each weight plane is
+    computed once per row, not at every point.
+
+    The partials follow from the risk tolerances t_m at the allocation
+    and their sum T: every plane of order 2 is built from lam * t_m and
+    t_n / T, one pair of factors per member.  A constant-aversion member's
+    t_m is a single number, and so is T when every member has constant
+    aversion.
+
+    Returns a dict with keys log_multiplier, allocation (a list of M
+    planes) and stack.
+    """
+    members = agents.members
+    nm = len(members)
+    v = np.asarray(v, dtype=float)
+    x = np.asarray(x, dtype=float)
+    l, xhat = _solve_log_multiplier(agents, np.log(v), x)
+    rows = plane_rows(nm, order)
+    stack = np.empty((max(r.stop for r in rows.values()),) + l.shape)
+
+    def plane(key, k=0):
+        """Writable view of the k-th plane of partial `key`."""
+        return stack[rows[key].start + k, ...]
+
+    lam = np.exp(l, out=plane("value_x"))
+    value = plane("value")
+    value[...] = 0.0        # summed from zero, as sum() does
+    for m in range(nm):
+        u = plane("value_v", m)
+        u[...] = utility_value(members[m], xhat[m])
+        value += v[..., m] * u
+    if order >= 2:
+        avers = [_aversion(members[m], xhat[m], order - 2)
+                 for m in range(nm)]
+        t = [1.0 / a[0] for a in avers]
+        big_t = sum(t)
+        np.divide(-lam, big_t, out=plane("value_xx"))
+        share = [tn / big_t for tn in t]
+        for m in range(nm):
+            lam_t = lam * t[m]
+            np.divide(lam_t, v[..., m] * big_t, out=plane("value_xv", m))
+            for n in range(nm):
+                vv = plane("value_vv", m * nm + n)
+                np.divide(lam_t, v[..., m] * v[..., n], out=vv)
+                vv *= (1.0 if m == n else 0.0) - share[n]
+    if order >= 3:
+        tp = [-avers[m][1] * t[m] ** 2 for m in range(nm)]  # t' = -a'/a^2
+        s1 = sum(tp[m] * t[m] for m in range(nm))
+        plane("value_xxx")[...] = lam / big_t**2 * (1.0 + s1 / big_t)
+        for m in range(nm):
+            plane("value_xxv", m)[...] = (lam * t[m] / (v[..., m] * big_t**2)
+                                          * (tp[m] - 1.0 - s1 / big_t))
+    return {"log_multiplier": l, "allocation": xhat, "stack": stack}
+
+
 def sharing_derivatives(agents: AgentSet, v: np.ndarray, x: np.ndarray,
                         order: int = 2) -> dict:
     """Vectorized sharing value and partials.
@@ -155,51 +292,16 @@ def sharing_derivatives(agents: AgentSet, v: np.ndarray, x: np.ndarray,
 
     Returns a dict with keys value, value_x, value_v, multiplier,
     allocation, log_multiplier and, for order >= 2, value_xx, value_xv,
-    value_vv, plus value_xxx, value_xxv for order 3.
+    value_vv, plus value_xxx, value_xxv for order 3: the planes of
+    `sharing_planes`, with the member axes stacked last.
     """
-    members = agents.members
-    nm = len(members)
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    logv = np.log(v)
-    l, xhat = _solve_log_multiplier(agents, logv, x)
-    lam = np.exp(l)
-
-    uvals = [utility_value(members[m], xhat[m]) for m in range(nm)]
-    out = {
-        "log_multiplier": l,
-        "multiplier": lam,
-        "allocation": np.stack(xhat, axis=-1),
-        "value": sum(v[..., m] * uvals[m] for m in range(nm)),
-        "value_x": lam,
-        "value_v": np.stack(uvals, axis=-1),
-    }
-    if order < 2:
-        return out
-
-    need = 1 if order >= 3 else 0
-    avers = [risk_aversion(members[m], xhat[m], need) for m in range(nm)]
-    t = [1.0 / avers[m][0] for m in range(nm)]
-    big_t = sum(t)
-    out["value_xx"] = -lam / big_t
-    out["value_xv"] = np.stack(
-        [lam * t[m] / (v[..., m] * big_t) for m in range(nm)], axis=-1)
-    vv = np.empty(out["value_xv"].shape + (nm,))
-    for m in range(nm):
-        for n in range(nm):
-            delta = 1.0 if m == n else 0.0
-            vv[..., m, n] = (lam * t[m] / (v[..., m] * v[..., n])
-                             * (delta - t[n] / big_t))
-    out["value_vv"] = vv
-    if order < 3:
-        return out
-
-    tp = [-avers[m][1] * t[m] ** 2 for m in range(nm)]  # t' = -a'/a^2
-    s1 = sum(tp[m] * t[m] for m in range(nm))
-    out["value_xxx"] = lam / big_t**2 * (1.0 + s1 / big_t)
-    out["value_xxv"] = np.stack(
-        [lam * t[m] / (v[..., m] * big_t**2) * (tp[m] - 1.0 - s1 / big_t)
-         for m in range(nm)], axis=-1)
+    p = sharing_planes(agents, v, x, order)
+    parts = unstack(p["stack"], agents.size, order)
+    out = {"log_multiplier": p["log_multiplier"],
+           "allocation": np.stack(p["allocation"], axis=-1)}
+    for key, part in parts.items():
+        out[key] = part.copy()[()]
+    out["multiplier"] = out["value_x"]
     return out
 
 

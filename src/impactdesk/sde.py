@@ -271,9 +271,11 @@ class EnsembleSummary:
 
     @property
     def terminal_stderr(self) -> np.ndarray:
+        """Standard error of the terminal mean; nan with fewer than two
+        completed paths, where the sample spread is undefined."""
         u = self._completed_terminals()
         if u.shape[0] < 2:
-            return np.zeros(self.terminal_utilities.shape[1])
+            return np.full(self.terminal_utilities.shape[1], np.nan)
         return u.std(axis=0, ddof=1) / math.sqrt(u.shape[0])
 
 

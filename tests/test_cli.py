@@ -151,6 +151,16 @@ def test_simulate_marks_the_stop_row(tmp_path):
     assert data[-1, 0] < 1.0
 
 
+def test_simulate_without_completed_paths_reports_nan_stderr(tmp_path):
+    # both paths explode: no mean and no spread to report
+    cfg = write_cfg(tmp_path, STEP)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "completed = 0" in summary
+    assert "terminal_mean = nan,nan" in summary
+    assert "terminal_stderr = nan,nan" in summary
+
+
 def test_simulate_is_byte_identical_across_worker_counts(tmp_path,
                                                          monkeypatch):
     cfg = write_cfg(tmp_path, BASE)

@@ -1,6 +1,7 @@
 """Conditional field evaluation, conjugate inversion, SDE coefficient."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from impactdesk.fields import (
     solve_conjugate,
 )
 from impactdesk.market import LinearPayoff, market_model
-from impactdesk.pareto import pareto_point
+from impactdesk.pareto import pareto_point, sharing_derivatives
 from impactdesk.quadrature import QuadratureRule, degenerate_rule
 from impactdesk.utility import (
     TanhAversion,
@@ -336,6 +337,86 @@ def test_row_fault_leaves_other_rows_alone(monkeypatch, fault):
                              [[0.5]])
     for got, want in zip(both, alone):
         assert got[0].tobytes() == want[0].tobytes()
+
+
+def _field_states(n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=n), np.exp(rng.normal(size=(n, 2))),
+            rng.uniform(-2.0, 2.0, size=n), rng.uniform(-1.0, 1.0, (n, 1)))
+
+
+@pytest.mark.parametrize("agents", [EXP_PAIR, TANH_MIX], ids=["exp", "tanh"])
+def test_field_rows_do_not_depend_on_their_batch(agents):
+    # ensemble scale: 300 rows at 64 nodes; each sampled row evaluated
+    # alone gives the bits it has inside the batch, in every key
+    z, v, x, q = _field_states(300, 5)
+    batch = field_core(agents, LIN_MARKET, RULE, 0.4, z, v, x, q, order=2,
+                       with_integrand=True)
+    rng = np.random.default_rng(6)
+    for i in rng.choice(z.size, size=12, replace=False):
+        row = slice(i, i + 1)
+        one = field_core(agents, LIN_MARKET, RULE, 0.4, z[row], v[row],
+                         x[row], q[row], order=2, with_integrand=True)
+        assert one.keys() == batch.keys()
+        for key, got in batch.items():
+            assert got[i].tobytes() == one[key][0].tobytes(), key
+
+
+@pytest.mark.parametrize("agents", [EXP_PAIR, TANH_MIX], ids=["exp", "tanh"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("with_integrand", [False, True],
+                         ids=["plain", "integrand"])
+def test_field_core_is_a_node_sum_of_sharing_partials(agents, order,
+                                                      with_integrand):
+    # the field's partials are the rule-weighted node sums of the public
+    # sharing partials at the terminal wealth of each node
+    z, v, x, q = _field_states(7, 8)
+    t = 0.4
+    out = field_core(agents, LIN_MARKET, RULE, t, z, v, x, q, order=order,
+                     with_integrand=with_integrand)
+    nodes = z[:, None] + math.sqrt(1.0 - t) * RULE.nodes
+    wealth = (x[:, None] + LIN_MARKET.endowment.value(nodes)
+              + q * LIN_MARKET.dividends[0].value(nodes))
+    d = sharing_derivatives(agents, v[:, None, :], wealth, order=2)
+    w = RULE.weights
+
+    def node_sum(a):
+        return (a * w.reshape((-1,) + (1,) * (a.ndim - 2))).sum(axis=1)
+
+    keys = ["value", "value_x", "value_v"]
+    if order == 2:
+        keys += ["value_xx", "value_xv", "value_vv"]
+    want = {key: node_sum(d[key]) for key in keys}
+    if with_integrand:
+        slope = (LIN_MARKET.endowment.derivative(nodes)
+                 + q * LIN_MARKET.dividends[0].derivative(nodes))
+        want["integrand"] = node_sum(d["value_x"] * slope)
+        want["integrand_v"] = node_sum(d["value_xv"] * slope[:, :, None])
+    assert out.keys() == want.keys() | {"finite"}
+    for key, expect in want.items():
+        np.testing.assert_allclose(out[key], expect, rtol=1e-13, atol=0,
+                                   err_msg=key)
+
+
+def test_field_core_peak_memory():
+    # one ensemble-sized evaluation: 2000 rows at 64 nodes, second order
+    # plus the integrand, counted in planes of B*n doubles; tracemalloc
+    # sees numpy's buffers, so the count is deterministic
+    b = 2000
+    z, v, x, q = _field_states(b, 9)
+
+    def evaluate():
+        field_core(EXP_PAIR, LIN_MARKET, RULE, 0.4, z, v, x, q, order=2,
+                   with_integrand=True)
+
+    evaluate()
+    tracemalloc.start()
+    try:
+        evaluate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (b * RULE.n * 8) <= 19.0
 
 
 def test_target_sign_validation():

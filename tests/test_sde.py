@@ -15,8 +15,9 @@ from impactdesk import fields
 from impactdesk.market import LinearPayoff, market_model
 from impactdesk.quadrature import QuadratureRule
 from impactdesk.sde import (COMPLETED, EXPLOSION, INFEASIBLE, ConstantFlow,
-                            FeedbackFlow, ScheduleFlow, SimulationConfig,
-                            brownian_increments, coarsen_increments,
+                            EnsembleSummary, FeedbackFlow, ScheduleFlow,
+                            SimulationConfig, brownian_increments,
+                            coarsen_increments,
                             initial_state, run_ensemble, simulate_path,
                             static_oracle, static_oracle_terminal,
                             step_feedback, strong_error_study)
@@ -173,6 +174,17 @@ def test_deterministic_market_constant_path():
                         SimulationConfig(dt=0.125, n_paths=5, seed=7))
     assert np.abs(summ.terminal_mean - init.utilities).max() == 0.0
     assert np.abs(summ.terminal_stderr).max() == 0.0
+
+
+def test_stderr_needs_two_completed_paths():
+    # one completed path has a mean but no sample spread
+    summ = EnsembleSummary(
+        n_paths=2, dt=0.125, seed=7, coordinates="log",
+        initial_utilities=np.array([-0.5, -0.5]),
+        terminal_utilities=np.array([[-0.4, -0.6], [np.nan, np.nan]]),
+        stop_reasons=(COMPLETED, EXPLOSION), taus=np.array([np.nan, 0.5]))
+    assert summ.terminal_mean.tolist() == [-0.4, -0.6]
+    assert np.isnan(summ.terminal_stderr).all()
 
 
 def test_gbm_log_euler_exact():
