@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from impactdesk.utility import (
     AgentSet,
@@ -190,3 +190,65 @@ def test_smoothness_report_flags_growth():
     assert rep.any_growing
     # windowed sup of |a'| keeps pace with the window radius
     assert rep.aversion_sup[0, 0, 2] > 1.5 * rep.aversion_sup[0, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# table edges: the grid ends at +-halfwidth, the linear continuation
+# beyond them, cell boundaries, and the asymptotic tail beyond tail_cutoff
+
+TABLED = (CONST2, TANH, TANH_WIDE)
+N_NODES = TANH.tables.x_nodes.size
+K_ZERO = int(np.flatnonzero(TANH.tables.x_nodes == 0.0)[0])
+HALFWIDTH = TANH.tables.x_nodes[-1]
+REAL_LINE = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.floats(-HALFWIDTH - 10.0, HALFWIDTH + 10.0),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([-HALFWIDTH, HALFWIDTH]).flatmap(
+        lambda e: st.floats(e - 1e-6, e + 1e-6)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(REAL_LINE)
+@example(-HALFWIDTH)
+@example(HALFWIDTH)
+@example(0.0)
+def test_table_inverse_round_trips_over_the_real_line(x):
+    for spec in TABLED:
+        tables = spec.tables
+        back = tables.inverse_integrated(tables.integrated(x))
+        assert abs(back - x) <= 1e-13 * max(1.0, abs(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, N_NODES - 1))
+@example(0)
+@example(K_ZERO)
+@example(N_NODES - 1)
+def test_table_integral_and_slope_continuous_across_cells(k):
+    # node k joins two cells (or a cell and the linear continuation at the
+    # grid ends); the interpolant and its slope a must not jump there
+    for spec in TABLED:
+        tables = spec.tables
+        xk, a = tables.x_nodes[k], tables.a_nodes[k]
+        eps = 2.0**-30
+        xl, xr = xk - eps, xk + eps
+        i_l, i_k, i_r = tables.integrated(np.array([xl, xk, xr]))
+        assert abs((i_r - i_l) - a * (xr - xl)) <= 1e-13 * max(1.0, abs(i_k))
+        # one-sided slopes agree with a to the curvature term |a'| d / 2
+        d = tables.h / 16
+        i_dl, i_dr = tables.integrated(np.array([xk - d, xk + d]))
+        assert abs((i_k - i_dl) / d - a) <= d
+        assert abs((i_dr - i_k) / d - a) <= d
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(1e-9, 1.0))
+@example(0.0, 1e-9)
+@example(-1e-9, 1e-9)
+def test_value_negative_increasing_across_tail_cutoff(dx, gap):
+    for spec in TABLED:
+        x = spec.tables.tail_cutoff + dx
+        lo, hi = utility_value(spec, np.array([x, x + gap]))
+        assert lo < hi < 0.0
