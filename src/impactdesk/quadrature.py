@@ -51,10 +51,6 @@ class QuadratureRule:
                 f"limit {MAX_STABLE_ORDER}")
         return _cached_gauss_hermite(int(n))
 
-    def expect(self, values: np.ndarray) -> np.ndarray:
-        """Contract node values against the weights along the last axis."""
-        return values @ self.weights
-
 
 @functools.lru_cache(maxsize=64)
 def _cached_gauss_hermite(n: int) -> QuadratureRule:

@@ -17,6 +17,12 @@ cached on a dense uniform grid and interpolated with a monotone cubic
 Hermite scheme whose node slopes are the analytic a(x); the improper
 integral defining u is completed beyond a cutoff with the one-term
 asymptotic -u'(x)/a(x).
+
+Each cell's cubic (of I, and of u below the cutoff) is stored once in
+power form in t = (x - x_nodes[k]) / h and evaluated by Horner's rule
+after a floor index.  The inverse of I searches the node values once
+(side="right": a node value returns its node exactly), runs Newton on t
+and returns x_nodes[k] + t*h, so x -> I(x) -> x is good to an ulp.
 """
 
 from __future__ import annotations
@@ -146,95 +152,88 @@ class SinSquareAversion:
 _GL_X, _GL_W = leggauss(7)
 
 
-def _hermite_coeffs(t):
-    t2 = t * t
-    t3 = t2 * t
-    return (2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + t,
-            -2 * t3 + 3 * t2, t3 - t2)
-
-
-def _hermite_dcoeffs(t):
-    t2 = t * t
-    return (6 * t2 - 6 * t, 3 * t2 - 4 * t + 1,
-            -6 * t2 + 6 * t, 3 * t2 - 2 * t)
+def _power_cells(y, slope_t):
+    """Cubic Hermite cells through values y with slopes slope_t (per unit
+    t), as a (4, n_cells) array whose row j is the coefficient of t**j."""
+    dy = np.diff(y)
+    d0, d1 = slope_t[:-1], slope_t[1:]
+    return np.stack([y[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy])
 
 
 @dataclass(eq=False)
 class _Tables:
     x0: float
     h: float
-    x_nodes: np.ndarray
+    x_nodes: np.ndarray      # x0 + k*h, the origin of cell k's t (not x0 + (k+t)*h)
     i_nodes: np.ndarray      # integrated aversion, I(0) = 0
     a_nodes: np.ndarray      # analytic aversion at the nodes (= I')
     u_nodes: np.ndarray      # utility values on nodes up to the tail cutoff
     n_tail: int              # node index of the tail cutoff
     tail_cutoff: float
 
-    def locate(self, xq, n_max):
-        idx = np.floor((xq - self.x0) / self.h).astype(np.int64)
-        idx = np.clip(idx, 0, n_max - 2)
-        t = (xq - (self.x0 + idx * self.h)) / self.h
-        return idx, t
+    @cached_property
+    def i_cells(self) -> np.ndarray:
+        """(4, n_cells) power-form cubics of I on every cell."""
+        return _power_cells(self.i_nodes, self.h * self.a_nodes)
 
-    def integrated(self, xq, derivative=False):
+    @cached_property
+    def u_cells(self) -> np.ndarray:
+        """(4, n_tail) power-form cubics of u below the tail cutoff."""
+        return _power_cells(self.u_nodes, self.h * np.exp(-self.i_nodes[:self.n_tail + 1]))
+
+    def _interpolate(self, cells, xq):
+        # the end cells extend beyond the grid
+        idx = np.floor((xq - self.x0) / self.h).astype(np.int64)
+        idx = np.clip(idx, 0, cells.shape[1] - 1)
+        t = (xq - self.x_nodes[idx]) / self.h
+        c0, c1, c2, c3 = cells.take(idx, axis=1)
+        return c0 + t * (c1 + t * (c2 + t * c3))
+
+    def integrated(self, xq):
         """Interpolated I(x) with linear continuation outside the grid."""
         xq = np.asarray(xq, dtype=float)
-        n = self.x_nodes.size
-        idx, t = self.locate(xq, n)
-        h00, h10, h01, h11 = _hermite_coeffs(t)
-        y0, y1 = self.i_nodes[idx], self.i_nodes[idx + 1]
-        d0, d1 = self.a_nodes[idx], self.a_nodes[idx + 1]
-        val = h00 * y0 + h10 * self.h * d0 + h01 * y1 + h11 * self.h * d1
+        val = self._interpolate(self.i_cells, xq)
         lo = xq < self.x_nodes[0]
         hi = xq > self.x_nodes[-1]
-        if np.any(lo):
+        if lo.any():
             val = np.where(lo, self.i_nodes[0] + self.a_nodes[0] * (xq - self.x_nodes[0]), val)
-        if np.any(hi):
+        if hi.any():
             val = np.where(hi, self.i_nodes[-1] + self.a_nodes[-1] * (xq - self.x_nodes[-1]), val)
-        if not derivative:
-            return val
-        g00, g10, g01, g11 = _hermite_dcoeffs(t)
-        der = (g00 * y0 / self.h + g10 * d0 + g01 * y1 / self.h + g11 * d1)
-        der = np.where(lo, self.a_nodes[0], der)
-        der = np.where(hi, self.a_nodes[-1], der)
-        return val, der
+        return val
 
     def inverse_integrated(self, target):
         """Solve I(x) = target for x (I is strictly increasing)."""
         target = np.asarray(target, dtype=float)
-        idx = np.searchsorted(self.i_nodes, target) - 1
-        idx = np.clip(idx, 0, self.x_nodes.size - 2)
-        den = self.i_nodes[idx + 1] - self.i_nodes[idx]
-        frac = np.clip((target - self.i_nodes[idx]) / den, 0.0, 1.0)
-        x = self.x_nodes[idx] + frac * self.h
-        # two Newton polishes take the cell-linear seed (error ~ |a'| h^2/8)
-        # to full double precision
+        # a target beyond the grid is polished at the grid's end, then
+        # continued linearly; the interior nodes give the cell directly
+        r = np.clip(target, self.i_nodes[0], self.i_nodes[-1])
+        idx = np.searchsorted(self.i_nodes[1:-1], r, side="right")
+        c0, c1, c2, c3 = self.i_cells.take(idx, axis=1)
+        r = r - c0
+        t = r / (c1 + c2 + c3)      # cell-linear seed, error ~ |a'| h^2/8
         for _ in range(2):
-            val, der = self.integrated(x, derivative=True)
-            x = x - (val - target) / der
+            b2 = c2 + t * c3        # I = c0 + t*b1, dI/dt = b1 + t*(b2 + t*c3)
+            b1 = c1 + t * b2
+            t -= (t * b1 - r) / (b1 + t * (b2 + t * c3))
+        x = self.x_nodes[idx] + t * self.h
         lo = target < self.i_nodes[0]
-        hi = target > self.i_nodes[-1]
-        if np.any(lo):
+        hi = target >= self.i_nodes[-1]
+        if lo.any():
             x = np.where(lo, self.x_nodes[0] + (target - self.i_nodes[0]) / self.a_nodes[0], x)
-        if np.any(hi):
+        if hi.any():
             x = np.where(hi, self.x_nodes[-1] + (target - self.i_nodes[-1]) / self.a_nodes[-1], x)
         return x
 
     def value(self, xq, aversion):
         """u(x): Hermite on the stored nodes, asymptotic tails outside."""
         xq = np.asarray(xq, dtype=float)
-        idx, t = self.locate(xq, self.n_tail + 1)
-        h00, h10, h01, h11 = _hermite_coeffs(t)
-        up0 = np.exp(-self.i_nodes[idx])
-        up1 = np.exp(-self.i_nodes[idx + 1])
-        val = (h00 * self.u_nodes[idx] + h10 * self.h * up0
-               + h01 * self.u_nodes[idx + 1] + h11 * self.h * up1)
+        val = self._interpolate(self.u_cells, xq)
         hi = xq >= self.tail_cutoff
-        if np.any(hi):
+        if hi.any():
             a_hi = aversion.derivatives(xq, 0)[0]
             val = np.where(hi, -np.exp(-self.integrated(xq)) / a_hi, val)
         lo = xq < self.x_nodes[0]
-        if np.any(lo):
+        if lo.any():
             a_lo = self.a_nodes[0]
             up_lo = np.exp(-self.i_nodes[0])
             grow = np.expm1(a_lo * (self.x_nodes[0] - np.where(lo, xq, self.x_nodes[0])))

@@ -252,3 +252,27 @@ def test_value_negative_increasing_across_tail_cutoff(dx, gap):
         x = spec.tables.tail_cutoff + dx
         lo, hi = utility_value(spec, np.array([x, x + gap]))
         assert lo < hi < 0.0
+
+
+def test_table_inverse_is_exact_at_nodes():
+    # a target equal to a node value opens that node's cell at t = 0, and
+    # x is rebuilt from the node itself, so the node comes back exactly
+    rng = np.random.default_rng(11)
+    k = np.concatenate([rng.integers(0, N_NODES, 400),
+                        [0, K_ZERO, N_NODES - 1]])
+    for spec in TABLED:
+        tables = spec.tables
+        back = tables.inverse_integrated(tables.i_nodes[k])
+        assert np.array_equal(back, tables.x_nodes[k])
+
+
+def test_table_round_trip_within_two_ulp():
+    rng = np.random.default_rng(12)
+    for spec in TABLED:
+        tables = spec.tables
+        x = np.concatenate([rng.uniform(-130.0, 130.0, 4000),
+                            rng.uniform(-2.0, 2.0, 4000),
+                            tables.x_nodes[rng.integers(0, N_NODES, 2000)]])
+        back = tables.inverse_integrated(tables.integrated(x))
+        ulp = np.spacing(np.maximum(np.abs(x), tables.h))
+        assert np.max(np.abs(back - x) / ulp) <= 2.0
