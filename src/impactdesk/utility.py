@@ -18,11 +18,10 @@ Hermite scheme whose node slopes are the analytic a(x); the improper
 integral defining u is completed beyond a cutoff with the one-term
 asymptotic -u'(x)/a(x).
 
-Each cell's cubic (of I, and of u below the cutoff) is stored once in
-power form in t = (x - x_nodes[k]) / h and evaluated by Horner's rule
-after a floor index.  The inverse of I searches the node values once
-(side="right": a node value returns its node exactly), runs Newton on t
-and returns x_nodes[k] + t*h, so x -> I(x) -> x is good to an ulp.
+Each cell's cubic (of I, and of u below the cutoff) is held in power form
+in t = (x - x_nodes[k]) / h.  The inverse of I searches the node values
+once (side="right": a node value returns its node), runs Newton on t and
+returns x_nodes[k] + t*h, so x -> I(x) -> x is good to an ulp of max(|x|, h).
 """
 
 from __future__ import annotations
@@ -182,9 +181,9 @@ class _Tables:
         return _power_cells(self.u_nodes, self.h * np.exp(-self.i_nodes[:self.n_tail + 1]))
 
     def _interpolate(self, cells, xq):
-        # the end cells extend beyond the grid
-        idx = np.floor((xq - self.x0) / self.h).astype(np.int64)
-        idx = np.clip(idx, 0, cells.shape[1] - 1)
+        # end cells extend beyond the grid; fmax/fmin send NaN to cell 0
+        idx = np.floor((xq - self.x0) / self.h)
+        idx = np.fmin(np.fmax(idx, 0.0), cells.shape[1] - 1).astype(np.int64)
         t = (xq - self.x_nodes[idx]) / self.h
         c0, c1, c2, c3 = cells.take(idx, axis=1)
         return c0 + t * (c1 + t * (c2 + t * c3))

@@ -49,11 +49,11 @@ def test_rule_moments():
     for n in (16, 64, 128):
         rule = QuadratureRule.gauss_hermite(n)
         assert abs(rule.weights.sum() - 1.0) <= 1e-14
-        moment = [np.einsum("n,n->", rule.nodes**k, rule.weights)
-                  for k in range(4)]
-        assert abs(moment[1]) <= 1e-13
-        assert abs(moment[3]) <= 1e-13
-        assert abs(moment[2] - 1.0) <= 1e-12
+        first, second, third = (np.einsum("n,n->", rule.nodes**k, rule.weights)
+                                for k in (1, 2, 3))
+        assert abs(first) <= 1e-13
+        assert abs(third) <= 1e-13
+        assert abs(second - 1.0) <= 1e-12
     d = degenerate_rule()
     assert d.n == 1 and d.nodes[0] == 0.0 and d.weights[0] == 1.0
 

@@ -276,3 +276,14 @@ def test_table_round_trip_within_two_ulp():
         back = tables.inverse_integrated(tables.integrated(x))
         ulp = np.spacing(np.maximum(np.abs(x), tables.h))
         assert np.max(np.abs(back - x) / ulp) <= 2.0
+
+
+def test_tables_pass_non_finite_queries_through():
+    # a failed row's NaN, or an overflowed target, comes back as a value
+    # rather than as an invalid-cast RuntimeWarning
+    for spec in TABLED:
+        x = inverse_log_marginal(spec, np.array([np.nan, np.inf, -np.inf, 0.0]))
+        assert np.isnan(x[0]) and x[1] == -np.inf and x[2] == np.inf
+        assert x[3] == 0.0
+        assert np.isnan(log_marginal(spec, np.nan))
+        assert np.isnan(utility_value(spec, np.nan))
