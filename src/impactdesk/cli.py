@@ -108,7 +108,7 @@ def _run_fields(cfg: ExperimentConfig, out_dir: str) -> int:
         # where it does not converge; weight-scale invariance makes them
         # agree with Hv
         coef = coefficient_rows(agents, model, rule, t, z, out["value_v"],
-                                q)[2]
+                                q).coefficient
         for i in range(z.size):
             row = ([t, z[i]] + list(v) + [cfg.cash] + list(q[i])
                    + [out["value"][i], out["value_x"][i]]

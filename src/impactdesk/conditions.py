@@ -280,9 +280,9 @@ def _dual_load(agents, model, rule, t, level, utilities, positions, bound):
     idx = np.flatnonzero(member)
     if idx.size:
         u = utilities[idx]
-        _, _, coef, _ = coefficient_rows(
+        coef = coefficient_rows(
             agents, model, rule, t, np.broadcast_to(level, (idx.size,)), u,
-            positions[idx])
+            positions[idx]).coefficient
         load = np.sum((coef / u) ** 2, axis=1)
         values[idx] = load / (1.0 + np.sum(np.abs(np.log(-u)), axis=1))
     return values, int(np.isnan(values).sum())

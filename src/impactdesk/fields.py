@@ -12,7 +12,8 @@ integral of the matching share partial.  Three consumers sit on top:
 
 - the martingale integrand: cash marginal times the payoff slope at the
   terminal node (chain rule through the factor), plus its weight
-  gradient;
+  gradient and its cash derivative integrand_x, which is the factor
+  derivative of the cash marginal (the node sum of value_xx * slope);
 - weight normalization onto the slice where the cash marginal is one;
 - the conjugate solve: Newton inversion of (value_v, value_x) =
   (utilities, slope) in (log-weights, cash), whose solution carries the
@@ -22,8 +23,11 @@ integral of the matching share partial.  Three consumers sit on top:
 The SDE coefficient row for the dealer system is the integrand's weight
 gradient at the conjugate point on the slope=1 slice.  Every Newton
 residual evaluates the integrand too, so the row comes from the
-evaluation that converged it; `coefficient_rows` is the one place that
-builds it, for `sde`, `conditions` and the `fields` command alike.
+evaluation that converged it, together with the cash marginal's
+volatility integrand_x / value_x, which `sde` uses to predict the next
+step's warm start.  `coefficient_rows` is the one conjugate entry, for
+`sde`, `conditions`, the `fields` command and the two raising wrappers
+`solve_conjugate` and `eval_sde_coefficient` alike.
 
 Faults are per row.  `field_core` flags a row that leaves double
 precision, or has a node with no sharing multiplier, in its `finite`
@@ -35,11 +39,12 @@ and `normalize_weights` raise FieldRangeError themselves.
 one per node, and gets the share partials back as a single (K, B, n)
 stack of contiguous planes, one per partial and member component.  One
 einsum sums every plane against the rule weights, and one more sums the
-slope-weighted cash-marginal planes into the integrand.  Each sum runs
-along a contiguous row of n nodes in an order fixed by n alone, the
-order the scalar partials were always summed in, so a row's bits do not
-depend on the batch it is evaluated in, nor therefore on the worker
-count; BLAS `@` would block the sums by batch size and break that.
+slope-weighted value_x, value_xv and value_xx planes into the integrand
+and its partials.  Each sum runs along a contiguous row of n nodes in an
+order fixed by n alone, the order the scalar partials were always summed
+in, so a row's bits do not depend on the batch it is evaluated in, nor
+therefore on the worker count; BLAS `@` would block the sums by batch
+size and break that.
 """
 
 from __future__ import annotations
@@ -111,8 +116,8 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
 
     level (B,), weights (B,M), cash (B,), position (B,J); scalars
     broadcast.  Returns a dict of arrays keyed like the share partials
-    (value, value_x, value_v, ... ) plus integrand / integrand_v when
-    requested, and a (B,) mask `finite` of the rows whose value and cash
+    (value, value_x, value_v, ... ) plus integrand / integrand_v /
+    integrand_x when requested, and a (B,) mask `finite` of the rows whose value and cash
     marginal stayed inside double precision.  A row outside it is
     reported there, never raised, so it cannot stop the rest of the batch.
     """
@@ -143,13 +148,14 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
         slope = g_slope
         if model.n_dividends:
             slope = slope + np.einsum("bj,jbn->bn", q, f_slopes)
-        # value_x and value_xv are adjacent planes; the slope weights them
-        # inside the sum, with no (B, n) product formed
+        # value_x, value_xv and value_xx are adjacent planes; the slope
+        # weights them inside the sum, with no (B, n) product formed
         rows = plane_rows(agents.size, need)
-        xv = slice(rows["value_x"].start, rows["value_xv"].stop)
+        xv = slice(rows["value_x"].start, rows["value_xx"].stop)
         sums = np.einsum("kbn,bn,n->kb", stack[xv], slope, w)
         out["integrand"] = sums[0]
-        out["integrand_v"] = sums[1:].T
+        out["integrand_v"] = sums[1:-1].T
+        out["integrand_x"] = sums[-1]
 
     out["finite"] = np.isfinite(out["value"]) & np.isfinite(out["value_x"])
     return out
@@ -294,15 +300,19 @@ class ConjugateRows:
     """Per-row outcome of the batched conjugate solve.
 
     coefficient is the weight gradient of the martingale integrand at
-    the solved state.  weights, cash and coefficient are nan on rows
-    that did not converge.
+    the solved state, and sigma the cash marginal's volatility there,
+    integrand_x / value_x.  weights, cash, coefficient and sigma are nan
+    on rows that did not converge.  targets holds the checked, broadcast
+    (level, utilities, slope, position) the rows were solved for.
     """
 
     weights: np.ndarray       # (B, M)
     cash: np.ndarray          # (B,)
     coefficient: np.ndarray   # (B, M)
+    sigma: np.ndarray         # (B,)
     converged: np.ndarray     # (B,) bool
     iterations: int
+    targets: tuple
 
 
 def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
@@ -314,7 +324,7 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     makes the tolerance meaningful across many orders of magnitude of
     utility levels and keeps weights positive by construction.  Every
     residual evaluation carries the integrand, so a row's coefficient
-    comes from the evaluation that converged it.  A fault in one row —
+    and sigma come from the evaluation that converged it.  A fault in one row —
     a non-finite start or field row, a non-finite or singular Jacobian —
     ends that row unconverged and leaves the others alone; a non-finite
     line-search trial halves only its own row's step.  The targets come
@@ -355,6 +365,7 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
         return out, rho
 
     coef = np.full((b, m), np.nan)
+    sigma = np.full(b, np.nan)
     converged = np.zeros(b, dtype=bool)
     active = np.flatnonzero(np.isfinite(logv).all(axis=1) & np.isfinite(cash))
     if active.size:
@@ -364,6 +375,7 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
         norm = np.abs(rho).max(axis=1)
         done = norm <= tol
         coef[active[done]] = out["integrand_v"][done]
+        sigma[active[done]] = out["integrand_x"][done] / out["value_x"][done]
         converged[active[done]] = True
         if iterations == max_iter:
             break
@@ -405,34 +417,33 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     return ConjugateRows(
         weights=np.where(converged[:, None], np.exp(logv), np.nan),
         cash=np.where(converged, cash, np.nan), coefficient=coef,
-        converged=converged, iterations=iterations)
+        sigma=sigma, converged=converged, iterations=iterations,
+        targets=(z, u, y, q))
 
 
 def coefficient_rows(agents: AgentSet, model: MarketModel,
                      rule: QuadratureRule, t: float, level, utilities,
                      position, warm=None, max_iter: int = 100,
-                     tol: float = 1e-10):
-    """Diffusion rows of the dealer system, one per state, with a mask.
+                     tol: float = 1e-10, slope=1.0) -> ConjugateRows:
+    """Conjugate rows, one per state, with a mask; the one conjugate entry.
 
-    Solves the conjugate system on the slope-one slice in one batch and
-    returns (weights, cash, coefficient, ok), each row computed as it
-    would be alone.  A row that does not converge — a row with no sharing
-    multiplier included, whose field comes back NaN — is nan with ok
-    False; nothing is retried.
+    Solves value_v = utilities, value_x = slope in one batch (slope one
+    gives the diffusion rows of the dealer system), each row computed as
+    it would be alone.  A row that does not converge — a row with no
+    sharing multiplier included, whose field comes back NaN — is nan
+    with converged False; nothing is retried.
     """
-    z, u, y, q = _targets(agents, model, level, utilities, 1.0, position)
-    res = _conjugate_batch(agents, model, rule, t, z, u, y, q, warm=warm,
-                           max_iter=max_iter, tol=tol)
-    return res.weights, res.cash, res.coefficient, res.converged
+    targets = _targets(agents, model, level, utilities, slope, position)
+    return _conjugate_batch(agents, model, rule, t, *targets, warm=warm,
+                            max_iter=max_iter, tol=tol)
 
 
 def _solve(agents, model, rule, t, level, utilities, slope, position,
            warm=None, max_iter=100, tol=1e-10):
     """Conjugate point and coefficient rows; raises unless every row
     converges."""
-    z, u, y, q = _targets(agents, model, level, utilities, slope, position)
-    res = _conjugate_batch(agents, model, rule, t, z, u, y, q, warm=warm,
-                           max_iter=max_iter, tol=tol)
+    res = coefficient_rows(agents, model, rule, t, level, utilities,
+                           position, warm, max_iter, tol, slope=slope)
     if not res.converged.all():
         bad = np.flatnonzero(~res.converged)
         raise ConjugateInfeasibleError(
@@ -440,6 +451,7 @@ def _solve(agents, model, rule, t, level, utilities, slope, position,
             f"{res.converged.size} points at t={t:g} after "
             f"{res.iterations} damped Newton steps",
             indices=tuple(int(i) for i in bad))
+    z, u, y, q = res.targets
     point = ConjugatePoint(t=t, level=z, utilities=u, slope=y, position=q,
                            weights=res.weights, cash=res.cash,
                            value=res.cash * y, iterations=res.iterations)

@@ -16,6 +16,24 @@ for convergence cross-checks (a sign flip there is clipped to the
 smallest negative double and the path stops on the next explosion
 check).
 
+Each step's conjugate solve starts from a predicted warm point.  For a
+frozen book the exact solution keeps the weights on one ray: the field
+marginals at fixed (weights, cash) are martingales in (t, B_t), and only
+the normalisation by the cash marginal value_x moves.  value_v is
+homogeneous of degree 0 in the weights and value_x of degree 1, so
+scaling the weights renormalises value_x without touching value_v, and
+a uniform shift of the log-weights is exactly the Newton step for the
+cash residual.  The solve reports value_x's volatility sigma =
+integrand_x / value_x, and after the Euler step the warm weights are
+
+    weights * exp(sigma^2 dt / 2 - sigma dB),
+
+with the warm cash left as solved.  On constant-aversion desks with
+linear payoffs value_x is lognormal in the factor and the log-Euler
+step of U is exact, so the predicted point solves the next step's
+system to round-off and the solve needs one field evaluation; on other
+desks the predictor is first-order and the Newton corrects it.
+
 A path ends in one of three ways, recorded per path rather than
 raised: it reaches the horizon (completed); some component climbs
 above the explosion threshold -eps (explosion — the system only admits
@@ -289,12 +307,19 @@ def brownian_increments(seed: int, first_path: int, n_paths: int,
 
     Stream i depends only on (seed, first_path + i), never on how many
     paths are drawn together, so any partition over workers sees the
-    same noise.
+    same noise.  One generator serves every path: its state is reset to
+    the path's key with a zero counter, the state a fresh
+    `Philox(key=...)` starts in, without a fresh one's entropy draw.
     """
     out = np.empty((n_paths, n_steps))
+    bits = np.random.Philox(key=np.array([seed, first_path], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state
     for i in range(n_paths):
-        key = np.array([seed, first_path + i], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
+        state["state"]["key"] = np.array([seed, first_path + i],
+                                         dtype=np.uint64)
+        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+        bits.state = state
         out[i] = gen.standard_normal(n_steps)
     out *= math.sqrt(dt)
     return out
@@ -386,18 +411,20 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
             u_act = utilities[active]
             q_act = q_full[active]
 
-        weights, cash, coeff, ok = coefficient_rows(
+        rows = coefficient_rows(
             agents, model, rule, t, level[active], u_act, q_act,
             warm=(warm_w[active], warm_c[active]),
             max_iter=config.newton_max_iter, tol=config.newton_tol)
+        ok = rows.converged
+        weights, cash, coeff, sigma = (rows.weights, rows.cash,
+                                       rows.coefficient, rows.sigma)
         if not ok.all():
-            keep = ok
             drop(~ok, k, 2)
             if active.size == 0:
                 break
-            weights, cash, coeff = weights[keep], cash[keep], coeff[keep]
+            weights, cash, coeff, sigma = (weights[ok], cash[ok], coeff[ok],
+                                           sigma[ok])
             u_act = utilities[active]
-        warm_w[active] = weights
         warm_c[active] = cash
 
         if record:
@@ -425,6 +452,12 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
                 nxt[flipped] = -np.finfo(float).tiny
             utilities[active] = nxt
         level[active] += db
+        # predictor: renormalise the weights by the cash marginal's own
+        # lognormal step; a guess out of range keeps the solved weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            guess = weights * np.exp(0.5 * sigma**2 * dt - sigma * db)[:, None]
+        fine = ((guess > 0.0) & (guess < np.inf)).all(axis=1)
+        warm_w[active] = np.where(fine[:, None], guess, weights)
 
     # terminal row for paths that ran the full horizon
     if active.size and record:
@@ -433,10 +466,11 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
             q_term = np.asarray(flow.at(1.0, utilities[rec], level[rec]),
                                 dtype=float)
             q_full[rec] = q_term
-            tr_w[rec, n_steps], tr_c[rec, n_steps], _, _ = coefficient_rows(
+            last = coefficient_rows(
                 agents, model, rule, 1.0, level[rec], utilities[rec], q_term,
                 warm=(warm_w[rec], warm_c[rec]),
                 max_iter=config.newton_max_iter, tol=config.newton_tol)
+            tr_w[rec, n_steps], tr_c[rec, n_steps] = last.weights, last.cash
             tr_b[rec, n_steps] = level[rec]
             tr_u[rec, n_steps] = utilities[rec]
             tr_q[rec, n_steps] = q_term

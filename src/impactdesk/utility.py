@@ -19,9 +19,11 @@ integral defining u is completed beyond a cutoff with the one-term
 asymptotic -u'(x)/a(x).
 
 Each cell's cubic (of I, and of u below the cutoff) is held in power form
-in t = (x - x_nodes[k]) / h.  The inverse of I searches the node values
-once (side="right": a node value returns its node), runs Newton on t and
-returns x_nodes[k] + t*h, so x -> I(x) -> x is good to an ulp of max(|x|, h).
+in t = (x - x_nodes[k]) / h, built over the width the cell's rounded nodes
+give it, so neighbouring cells meet at their node.  The inverse of I
+searches the node values once (side="right": a node value returns its
+node), runs Newton on t and returns x_nodes[k] + t*h, so x -> I(x) -> x
+is good to an ulp of max(|x|, h).
 """
 
 from __future__ import annotations
@@ -151,19 +153,27 @@ class SinSquareAversion:
 _GL_X, _GL_W = leggauss(7)
 
 
-def _power_cells(y, slope_t):
-    """Cubic Hermite cells through values y with slopes slope_t (per unit
-    t), as a (4, n_cells) array whose row j is the coefficient of t**j."""
+def _power_cells(x_nodes, h, y, slope):
+    """Cubic Hermite cells through (x_nodes, y) with slopes dy/dx, as a
+    (4, n_cells) array whose row j is the coefficient of t**j in
+    t = (x - x_nodes[k]) / h.
+
+    The rounded nodes lie up to an ulp of the grid's edge off x0 + k*h,
+    so cell k ends at t = w = (x_nodes[k+1] - x_nodes[k]) / h, not at 1,
+    and is built over that width: neighbouring cells meet at their node.
+    """
+    w = np.diff(x_nodes) / h
     dy = np.diff(y)
-    d0, d1 = slope_t[:-1], slope_t[1:]
-    return np.stack([y[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy])
+    d0, d1 = h * slope[:-1], h * slope[1:]
+    return np.stack([y[:-1], d0, (3.0 * dy - (2.0 * d0 + d1) * w) / w**2,
+                     ((d0 + d1) * w - 2.0 * dy) / w**3])
 
 
 @dataclass(eq=False)
 class _Tables:
     x0: float
     h: float
-    x_nodes: np.ndarray      # x0 + k*h, the origin of cell k's t (not x0 + (k+t)*h)
+    x_nodes: np.ndarray      # x0 + k*h rounded, the origin of cell k's t (not x0 + (k+t)*h)
     i_nodes: np.ndarray      # integrated aversion, I(0) = 0
     a_nodes: np.ndarray      # analytic aversion at the nodes (= I')
     u_nodes: np.ndarray      # utility values on nodes up to the tail cutoff
@@ -173,12 +183,14 @@ class _Tables:
     @cached_property
     def i_cells(self) -> np.ndarray:
         """(4, n_cells) power-form cubics of I on every cell."""
-        return _power_cells(self.i_nodes, self.h * self.a_nodes)
+        return _power_cells(self.x_nodes, self.h, self.i_nodes, self.a_nodes)
 
     @cached_property
     def u_cells(self) -> np.ndarray:
         """(4, n_tail) power-form cubics of u below the tail cutoff."""
-        return _power_cells(self.u_nodes, self.h * np.exp(-self.i_nodes[:self.n_tail + 1]))
+        top = self.n_tail + 1
+        return _power_cells(self.x_nodes[:top], self.h, self.u_nodes,
+                            np.exp(-self.i_nodes[:top]))
 
     def _interpolate(self, cells, xq):
         # end cells extend beyond the grid; fmax/fmin send NaN to cell 0
@@ -243,10 +255,11 @@ class _Tables:
 def _build_tables(aversion, halfwidth: float, step: float, tail_cutoff: float) -> _Tables:
     n_cells = int(round(2 * halfwidth / step))
     x_nodes = -halfwidth + step * np.arange(n_cells + 1)
-    # composite 7-point Gauss-Legendre accumulation of I(x) = int_0^x a
+    # composite 7-point Gauss-Legendre accumulation of I(x) = int_0^x a,
+    # each cell over the width its rounded nodes give it
     mid = 0.5 * (x_nodes[:-1] + x_nodes[1:])
-    half = 0.5 * step
-    pts = mid[:, None] + half * _GL_X[None, :]
+    half = 0.5 * np.diff(x_nodes)
+    pts = mid[:, None] + half[:, None] * _GL_X[None, :]
     a_pts = aversion.derivatives(pts.ravel(), 0)[0].reshape(pts.shape)
     cell = half * (a_pts @ _GL_W)
     i_nodes = np.concatenate(([0.0], np.cumsum(cell)))
@@ -261,7 +274,7 @@ def _build_tables(aversion, halfwidth: float, step: float, tail_cutoff: float) -
                   tail_cutoff=x_nodes[n_tail])
     pts_u = pts[:n_tail]
     up_pts = np.exp(-tbl.integrated(pts_u.ravel()).reshape(pts_u.shape))
-    cell_u = half * (up_pts @ _GL_W)
+    cell_u = half[:n_tail] * (up_pts @ _GL_W)
     rev = np.concatenate(([0.0], np.cumsum(cell_u[::-1])))[::-1]
     tail = np.exp(-i_nodes[n_tail]) / a_nodes[n_tail]
     tbl.u_nodes = -(rev + tail)

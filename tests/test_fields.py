@@ -263,6 +263,9 @@ def test_subnormal_target_is_infeasible_not_a_crash():
     assert exc.value.indices == (0,)
 
 
+ROW_KEYS = ("weights", "cash", "coefficient", "sigma", "converged")
+
+
 def test_coefficient_rows_do_not_depend_on_their_batch(monkeypatch):
     rng = np.random.default_rng(11)
     n = 11
@@ -286,26 +289,27 @@ def test_coefficient_rows_do_not_depend_on_their_batch(monkeypatch):
     cold = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.4, z, u, q)
     assert calls == [g]              # one batch, no row-by-row retry
     expect = [True] * n + [False] * len(bad)
-    assert cold[3].tolist() == expect
+    assert cold.converged.tolist() == expect
     # warm starts near the solution; the faulty rows start far out at
     # cash 400, or at nan, which is a fault of its row
     far = np.where(np.arange(g) == n, np.nan, 400.0)
-    warm = (np.where(cold[3][:, None], cold[0] * 1.05, 1.0),
-            np.where(cold[3], cold[1] + 0.01, far))
+    warm = (np.where(cold.converged[:, None], cold.weights * 1.05, 1.0),
+            np.where(cold.converged, cold.cash + 0.01, far))
     for start in (None, warm):
         calls.clear()
         batch = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.4, z, u, q,
                                  warm=start)
         assert calls == [g]
-        assert batch[3][:n + 2].tolist() == expect[:n + 2]
+        assert batch.converged[:n + 2].tolist() == expect[:n + 2]
         for i in range(g):
             row = slice(i, i + 1)
             one = coefficient_rows(
                 TANH_MIX, LIN_MARKET, RULE, 0.4, z[row], u[row], q[row],
                 warm=None if start is None else (start[0][row],
                                                  start[1][row]))
-            for got, want in zip(batch, one):
-                assert got[i].tobytes() == want[0].tobytes()
+            for key in ROW_KEYS:
+                got, want = getattr(batch, key), getattr(one, key)
+                assert got[i].tobytes() == want[0].tobytes(), key
 
 
 @pytest.mark.parametrize("fault", ["trial", "singular", "nan"])
@@ -334,11 +338,12 @@ def test_row_fault_leaves_other_rows_alone(monkeypatch, fault):
     monkeypatch.setattr(fields, "field_core", faulty)
     both = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.4, 0.0, u, [[0.5]])
     # a bad trial only halves its row's step; a bad Jacobian ends its row
-    assert both[3].tolist() == [True, fault == "trial"]
+    assert both.converged.tolist() == [True, fault == "trial"]
     alone = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.4, 0.0, u[:1],
                              [[0.5]])
-    for got, want in zip(both, alone):
-        assert got[0].tobytes() == want[0].tobytes()
+    for key in ROW_KEYS:
+        got, want = getattr(both, key), getattr(alone, key)
+        assert got[0].tobytes() == want[0].tobytes(), key
 
 
 def _field_states(n, seed):
@@ -394,6 +399,7 @@ def test_field_core_is_a_node_sum_of_sharing_partials(agents, order,
                  + q * LIN_MARKET.dividends[0].derivative(nodes))
         want["integrand"] = node_sum(d["value_x"] * slope)
         want["integrand_v"] = node_sum(d["value_xv"] * slope[:, :, None])
+        want["integrand_x"] = node_sum(d["value_xx"] * slope)
     assert out.keys() == want.keys() | {"finite"}
     for key, expect in want.items():
         np.testing.assert_allclose(out[key], expect, rtol=1e-13, atol=0,

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impactdesk import fields
 from impactdesk.market import LinearPayoff, market_model
@@ -135,6 +136,18 @@ def test_brownian_increments_worker_independent():
     assert np.array_equal(full[5:], tail)
 
 
+def test_brownian_increments_match_a_fresh_generator_per_path():
+    # one generator is re-keyed for every path; each stream must be the
+    # one a fresh Philox keyed (seed, path) draws
+    for seed, first in ((0, 0), (11, 5), (7, 123456), (2**40 + 3, 1997)):
+        got = brownian_increments(seed, first, 3, 16, 0.0625)
+        for i in range(3):
+            key = np.array([seed, first + i], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            want = fresh.standard_normal(16) * math.sqrt(0.0625)
+            assert got[i].tobytes() == want.tobytes()
+
+
 def test_coarsen_increments_sums_pairs():
     fine = brownian_increments(3, 0, 4, 8, 0.125)
     coarse = coarsen_increments(fine, 2)
@@ -194,6 +207,35 @@ def test_gbm_log_euler_exact():
     closed = gbm_closed_form(init, path.times, path.brownian)
     assert np.abs(path.utilities - closed).max() <= 1e-12
     assert np.all(path.utilities < 0.0)
+
+
+def test_warm_start_predictor_needs_one_field_evaluation_per_step(
+        monkeypatch):
+    # on the exponential pair with linear payoffs the cash marginal is
+    # lognormal and the log-Euler step exact, so the predicted warm point
+    # already solves each step's conjugate system to tolerance
+    solve, evaluate = fields._conjugate_batch, fields.field_core
+    residuals, per_solve, iterations = [0], [], []
+
+    def counted_solve(*args, **kwargs):
+        before = residuals[0]
+        res = solve(*args, **kwargs)
+        per_solve.append(residuals[0] - before)
+        iterations.append(res.iterations)
+        return res
+
+    def counted_eval(*args, **kwargs):
+        residuals[0] += bool(kwargs.get("with_integrand"))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+    monkeypatch.setattr(fields, "_conjugate_batch", counted_solve)
+    monkeypatch.setattr(fields, "field_core", counted_eval)
+    cfg = SimulationConfig(dt=2.0**-5, n_paths=20, seed=17, quadrature_n=64)
+    summ = run_ensemble(EXP_PAIR, LIN, HALF_FLOW, cfg, cash=1.5)
+    assert summ.n_completed == 20
+    assert per_solve == [1] * cfg.n_steps
+    assert iterations == [1] * cfg.n_steps
 
 
 def test_gbm_direct_euler_converges():
@@ -289,6 +331,44 @@ def test_explosion_stop_adversarial_feedback():
         assert rec.utilities[-1].max() > -eps
         assert np.all(rec.utilities[:-1].max(axis=1) <= -eps)
         assert np.isnan(rec.cash[-1]) and np.all(np.isfinite(rec.cash[:-1]))
+
+
+@settings(max_examples=8, deadline=None)
+@given(kind=st.sampled_from(["feedback", "schedule"]),
+       t_switch=st.sampled_from([0.25, 0.5, 0.75]),
+       after=st.floats(4.0, 40.0), log=st.booleans(), tanh=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_flows_towards_explosion_stop_every_path_with_a_reason(
+        kind, t_switch, after, log, tanh, seed):
+    # a step-feedback or schedule flow raises the exposure at t_switch
+    # until paths explode mid-run, where the warm-start predictor meets
+    # its largest steps; each path still ends with a recorded reason, the
+    # same on one worker and two
+    flow = (step_feedback(t_switch, [0.5], [after]) if kind == "feedback"
+            else ScheduleFlow([0.0, t_switch], [[0.5], [after]]))
+    cfg = SimulationConfig(dt=2.0**-5, n_paths=6, seed=seed, quadrature_n=8,
+                           log_coordinates=log, newton_tol=1e-8)
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for workers in ("1", "2"):
+            mp.setenv("IMPACTDESK_WORKERS", workers)
+            runs.append(run_ensemble(TANH_MIX if tanh else EXP_PAIR, LIN,
+                                     flow, cfg, cash=1.5, record=6))
+    for summ in runs:
+        stopped = np.array([r != COMPLETED for r in summ.stop_reasons])
+        assert set(summ.stop_reasons) <= {COMPLETED, EXPLOSION, INFEASIBLE}
+        assert np.array_equal(np.isfinite(summ.taus), stopped)
+        assert [r.stop_reason for r in summ.recorded] == \
+            list(summ.stop_reasons)
+    solo, split = runs
+    assert after < 20.0 or solo.n_completed == 0     # these all explode
+    assert solo.stop_reasons == split.stop_reasons
+    assert np.array_equal(solo.taus, split.taus, equal_nan=True)
+    assert np.array_equal(solo.terminal_utilities, split.terminal_utilities,
+                          equal_nan=True)
+    for ra, rb in zip(solo.recorded, split.recorded):
+        assert np.array_equal(ra.utilities, rb.utilities, equal_nan=True)
+        assert np.array_equal(ra.weights, rb.weights, equal_nan=True)
 
 
 def test_multiplier_failure_stops_only_its_path(monkeypatch):

@@ -254,6 +254,22 @@ def test_value_negative_increasing_across_tail_cutoff(dx, gap):
         assert lo < hi < 0.0
 
 
+def test_table_integral_has_no_jump_at_any_node():
+    # the rounded nodes sit up to an ulp of the grid edge off x0 + k*h;
+    # each cell is built over its own width, so I crosses every node of
+    # the tanh table with slope a and no jump beyond a few ulp of the
+    # neighbouring node values
+    tables = TANH.tables
+    k = np.arange(1, N_NODES - 1)
+    xk = tables.x_nodes[k]
+    xl, xr = xk - 2.0**-30, xk + 2.0**-30
+    jump = (tables.integrated(xr) - tables.integrated(xl)
+            - tables.a_nodes[k] * (xr - xl))
+    near = np.maximum(np.abs(tables.i_nodes[k - 1]),
+                      np.abs(tables.i_nodes[k + 1]))
+    assert np.max(np.abs(jump) / np.spacing(near)) <= 4.0
+
+
 def test_table_inverse_is_exact_at_nodes():
     # a target equal to a node value opens that node's cell at t = 0, and
     # x is rebuilt from the node itself, so the node comes back exactly
