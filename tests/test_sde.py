@@ -7,6 +7,7 @@ reproduces it exactly, so closed forms pin every moving part.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,6 +237,24 @@ def test_warm_start_predictor_needs_one_field_evaluation_per_step(
     assert summ.n_completed == 20
     assert per_solve == [1] * cfg.n_steps
     assert iterations == [1] * cfg.n_steps
+
+
+def test_predictor_out_of_range_keeps_the_solved_weights(monkeypatch):
+    # a volatility whose lognormal step overflows must not leave a path
+    # with an infinite warm start: it falls back to the solved weights,
+    # as a zero volatility does
+    solve = fields._conjugate_batch
+    monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+    cfg = SimulationConfig(dt=2.0**-3, n_paths=3, seed=9, quadrature_n=16)
+    runs = []
+    for sigma in (0.0, 1e300):
+        monkeypatch.setattr(fields, "_conjugate_batch", lambda *a, **k: replace(
+            solve(*a, **k), sigma=np.full(np.shape(a[5])[0], sigma)))
+        runs.append(run_ensemble(TANH_MIX, LIN, HALF_FLOW, cfg, cash=1.5,
+                                 record=3))
+    assert runs[0].n_completed == runs[1].n_completed == 3
+    for ra, rb in zip(runs[0].recorded, runs[1].recorded):
+        assert ra.weights.tobytes() == rb.weights.tobytes()
 
 
 def test_gbm_direct_euler_converges():
