@@ -374,9 +374,11 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     while active.size:
         norm = np.abs(rho).max(axis=1)
         done = norm <= tol
-        coef[active[done]] = out["integrand_v"][done]
-        sigma[active[done]] = out["integrand_x"][done] / out["value_x"][done]
-        converged[active[done]] = True
+        if done.any():
+            hit = active[done]
+            coef[hit] = out["integrand_v"][done]
+            sigma[hit] = out["integrand_x"][done] / out["value_x"][done]
+            converged[hit] = True
         if iterations == max_iter:
             break
         iterations += 1
