@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .market import MarketModel, malliavin_derivative
+from .market import MarketModel, malliavin_derivative, terminal_wealth
 from .pareto import harmonic_aversion, plane_rows, sharing_planes, unstack
 from .quadrature import MAX_STABLE_ORDER, QuadratureRule, degenerate_rule
 from .utility import AgentSet
@@ -130,9 +130,7 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
     if s == 0.0:
         rule = degenerate_rule()
     nodes = z[:, None] + s * rule.nodes                       # (B, n)
-    wealth = x[:, None] + model.endowment.value(nodes)
-    for j, payoff in enumerate(model.dividends):
-        wealth = wealth + q[:, j:j + 1] * payoff.value(nodes)
+    wealth = terminal_wealth(model, x, q, nodes)
 
     need = max(order, 2 if with_integrand else order)
     stack = sharing_planes(agents, v[:, None, :], wealth,
@@ -311,7 +309,7 @@ class ConjugateRows:
     coefficient: np.ndarray   # (B, M)
     sigma: np.ndarray         # (B,)
     converged: np.ndarray     # (B,) bool
-    iterations: int
+    iterations: int           # Newton steps the batch took
     targets: tuple
 
 
@@ -370,7 +368,7 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     active = np.flatnonzero(np.isfinite(logv).all(axis=1) & np.isfinite(cash))
     if active.size:
         out, rho = residual(active, logv[active], cash[active])
-    iterations = 0
+    iterations = 0      # Newton steps taken, capped at max_iter
     while active.size:
         norm = np.abs(rho).max(axis=1)
         done = norm <= tol
@@ -379,9 +377,15 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
             coef[hit] = out["integrand_v"][done]
             sigma[hit] = out["integrand_x"][done] / out["value_x"][done]
             converged[hit] = True
-        if iterations == max_iter:
+        # open rows go on unless their residual is non-finite (a NaN
+        # norm is never done); only they get a Jacobian
+        go = ~done & np.isfinite(norm)
+        if not go.any() or iterations == max_iter:
             break
-        iterations += 1
+        active, rho, norm = active[go], rho[go], norm[go]
+        if not go.all():
+            out = {key: out[key][go] for key in
+                   ("value_v", "value_x", "value_vv", "value_xv", "value_xx")}
 
         jac = np.empty((active.size, m + 1, m + 1))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -391,14 +395,14 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
             jac[:, :m, m] = out["value_xv"] / out["value_v"]
             jac[:, m, :m] = vv * out["value_xv"] / out["value_x"][:, None]
             jac[:, m, m] = out["value_xx"] / out["value_x"]
-        # open rows go on unless their residual or Jacobian is non-finite
-        # or the Jacobian is singular; a NaN norm is never done
-        go = ~done & np.isfinite(norm) & np.isfinite(jac).all(axis=(1, 2))
+        # a row whose Jacobian is non-finite or singular ends here
+        go = np.isfinite(jac).all(axis=(1, 2))
         if go.any():
             go[go] = np.linalg.slogdet(jac[go])[0] != 0
         active, rho, norm, jac = active[go], rho[go], norm[go], jac[go]
         if not active.size:
             break
+        iterations += 1
         step = np.linalg.solve(jac, -rho[:, :, None])[:, :, 0]
 
         alpha = np.ones(active.size)
@@ -416,11 +420,13 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
         logv[active] = trial_v
         cash[active] = trial_c
 
+    # an open row's log-weights may have run past exp's range
+    weights = np.full((b, m), np.nan)
+    weights[converged] = np.exp(logv[converged])
     return ConjugateRows(
-        weights=np.where(converged[:, None], np.exp(logv), np.nan),
-        cash=np.where(converged, cash, np.nan), coefficient=coef,
-        sigma=sigma, converged=converged, iterations=iterations,
-        targets=(z, u, y, q))
+        weights=weights, cash=np.where(converged, cash, np.nan),
+        coefficient=coef, sigma=sigma, converged=converged,
+        iterations=iterations, targets=(z, u, y, q))
 
 
 def coefficient_rows(agents: AgentSet, model: MarketModel,

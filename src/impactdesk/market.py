@@ -203,19 +203,25 @@ def market_model(endowment=None, dividends=()) -> MarketModel:
 def terminal_wealth(model: MarketModel, x, q, z):
     """Book wealth at the horizon: x + g(z) + <q, f(z)>.
 
-    x is cash, q the dividend position vector, z the terminal factor
-    level; z may be an array.
+    Batched over states: cash x (B,), positions q (B, J) and terminal
+    factor levels z (B, n) give the (B, n) wealth at every level.  A
+    single state passes a scalar x and a (J,) position, with z of any
+    shape.  Terms are added in the order endowment, then dividends
+    1..J, every one of them, so a zero position still carries a
+    non-finite dividend value into the sum.
     """
     z = np.asarray(z, dtype=float)
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.shape != (model.n_dividends,):
+    if q.shape[-1] != model.n_dividends:
         raise ValueError(
-            f"position has {q.size} components, model has "
+            f"position has {q.shape[-1]} components, model has "
             f"{model.n_dividends} dividends")
+    x = np.asarray(x, dtype=float)
+    if q.ndim == 2:
+        x, q = x[:, None], q[:, None, :]
     total = x + model.endowment.value(z)
-    for qj, payoff in zip(q, model.dividends):
-        if qj != 0.0:
-            total = total + qj * payoff.value(z)
+    for j, payoff in enumerate(model.dividends):
+        total = total + q[..., j] * payoff.value(z)
     return total
 
 

@@ -340,10 +340,45 @@ def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:
 def _run_chunk(agents, model, flow, config: SimulationConfig,
                initial: InitialState, first_path: int, n_paths: int,
                record: int = 0,
-               increments: Optional[np.ndarray] = None) -> dict:
-    """Lockstep Euler over a contiguous block of path indices."""
-    n_steps = config.n_steps
-    dt = config.dt
+               increments: Optional[np.ndarray] = None,
+               ladder: Optional[Sequence[tuple]] = None) -> dict:
+    """Lockstep Euler over a contiguous block of path indices.
+
+    Every row steps at config.dt on `increments` (drawn when None),
+    unless a `ladder` of (dt, increments) levels, each increments of
+    shape (n_paths, 1/dt), is given: then level i's paths are rows
+    i*n_paths to (i+1)*n_paths - 1, each with the level's step size, and
+    the results come back in that level-major order.  Row r keeps its
+    own step counter k_r; each pass takes the earliest pending step time
+    t = min k_r*dt_r and steps every row whose own k_r*dt_r equals t bit
+    for bit, in one batch.  Step times are compared as floats, never
+    rounded to a common clock, so each row sees exactly the times it
+    would see alone.
+    """
+    if ladder is None:
+        if increments is None:
+            increments = brownian_increments(config.seed, first_path,
+                                             n_paths, config.n_steps,
+                                             config.dt)
+        ladder = [(config.dt, increments)]
+    p = n_paths * len(ladder)
+    dt = np.empty(p)
+    n_steps = np.empty(p, dtype=np.int64)
+    for i, (d, inc) in enumerate(ladder):
+        n = int(round(1.0 / d))
+        if inc.shape != (n_paths, n):
+            raise ValueError("increment array does not match (paths, steps)")
+        dt[i * n_paths:(i + 1) * n_paths] = d
+        n_steps[i * n_paths:(i + 1) * n_paths] = n
+    n_max = int(n_steps.max())
+    if len(ladder) == 1:
+        increments = ladder[0][1]
+    else:
+        # one row per path and level, padded to the finest level's steps
+        increments = np.concatenate([
+            np.pad(inc, ((0, 0), (0, n_max - inc.shape[1])),
+                   constant_values=np.nan) for _, inc in ladder])
+
     rule = QuadratureRule.gauss_hermite(config.quadrature_n)
     nm = agents.size
     nj = model.n_dividends
@@ -351,13 +386,6 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
     eps = config.explosion_eps if config.explosion_eps is not None \
         else 1e-6 * float(np.abs(u0).min())
 
-    if increments is None:
-        increments = brownian_increments(config.seed, first_path, n_paths,
-                                         n_steps, dt)
-    elif increments.shape != (n_paths, n_steps):
-        raise ValueError("increment array does not match (paths, steps)")
-
-    p = n_paths
     utilities = np.tile(u0, (p, 1))
     log_u = np.log(-utilities) if config.log_coordinates else None
     level = np.zeros(p)
@@ -366,102 +394,112 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
     q_full = np.zeros((p, nj))
     taus = np.full(p, np.nan)
     reasons = np.zeros(p, dtype=np.int8)    # index into _REASONS
-    active = np.arange(p)
+    k = np.zeros(p, dtype=np.int64)         # each row's own step counter
+    live = np.ones(p, dtype=bool)           # rows still stepping
 
     record = min(record, p)
     if record:
-        tr_b = np.full((record, n_steps + 1), np.nan)
-        tr_u = np.full((record, n_steps + 1, nm), np.nan)
-        tr_w = np.full((record, n_steps + 1, nm), np.nan)
-        tr_c = np.full((record, n_steps + 1), np.nan)
-        tr_q = np.full((record, n_steps + 1, nj), np.nan)
-        tr_last = np.full(record, n_steps, dtype=int)
+        tr_b = np.full((record, n_max + 1), np.nan)
+        tr_u = np.full((record, n_max + 1, nm), np.nan)
+        tr_w = np.full((record, n_max + 1, nm), np.nan)
+        tr_c = np.full((record, n_max + 1), np.nan)
+        tr_q = np.full((record, n_max + 1, nj), np.nan)
+        tr_last = n_steps[:record].copy()
 
-    def drop(mask, k, code):
-        """Mark stopped paths, write their stop row, shrink the active set."""
-        nonlocal active
-        idx = active[mask]
-        taus[idx] = k * dt
+    def drop(idx, code):
+        """Mark stopped rows at their own step, write their stop row."""
+        taus[idx] = k[idx] * dt[idx]
         reasons[idx] = code
+        live[idx] = False
         if record:
             rec = idx[idx < record]
             if rec.size:
-                tr_b[rec, k] = level[rec]
-                tr_u[rec, k] = utilities[rec]
-                tr_q[rec, k] = q_full[rec]
-                tr_last[rec] = k
-        active = active[~mask]
+                kr = k[rec]
+                tr_b[rec, kr] = level[rec]
+                tr_u[rec, kr] = utilities[rec]
+                tr_q[rec, kr] = q_full[rec]
+                tr_last[rec] = kr
 
-    for k in range(n_steps):
+    while True:
+        active = np.flatnonzero(live)
         if active.size == 0:
             break
-        t = k * dt
-        u_act = utilities[active]
-        q_act = np.asarray(flow.at(t, u_act, level[active]), dtype=float)
-        if q_act.shape != (active.size, nj):
-            raise ValueError(f"flow returned shape {q_act.shape}, expected "
-                             f"{(active.size, nj)}")
-        q_full[active] = q_act
+        t_act = k[active] * dt[active]
+        t = float(t_act.min())
+        due = active[t_act == t]
+        u_due = utilities[due]
+        q_due = np.asarray(flow.at(t, u_due, level[due]), dtype=float)
+        if q_due.shape != (due.size, nj):
+            raise ValueError(f"flow returned shape {q_due.shape}, expected "
+                             f"{(due.size, nj)}")
+        q_full[due] = q_due
 
-        exploded = u_act.max(axis=1) > -eps
+        exploded = u_due.max(axis=1) > -eps
         if exploded.any():
-            drop(exploded, k, 1)
-            if active.size == 0:
-                break
-            u_act = utilities[active]
-            q_act = q_full[active]
+            drop(due[exploded], 1)
+            due = due[~exploded]
+            if due.size == 0:
+                continue
+            u_due = utilities[due]
+            q_due = q_full[due]
 
         rows = coefficient_rows(
-            agents, model, rule, t, level[active], u_act, q_act,
-            warm=(warm_w[active], warm_c[active]),
+            agents, model, rule, t, level[due], u_due, q_due,
+            warm=(warm_w[due], warm_c[due]),
             max_iter=config.newton_max_iter, tol=config.newton_tol)
         ok = rows.converged
         weights, cash, coeff, sigma = (rows.weights, rows.cash,
                                        rows.coefficient, rows.sigma)
         if not ok.all():
-            drop(~ok, k, 2)
-            if active.size == 0:
-                break
+            drop(due[~ok], 2)
+            due = due[ok]
+            if due.size == 0:
+                continue
             weights, cash, coeff, sigma = (weights[ok], cash[ok], coeff[ok],
                                            sigma[ok])
-            u_act = utilities[active]
-        warm_c[active] = cash
+            u_due = utilities[due]
+        warm_c[due] = cash
 
         if record:
-            mask = active < record
-            rec = active[mask]
+            mask = due < record
+            rec = due[mask]
             if rec.size:
-                tr_b[rec, k] = level[rec]
-                tr_u[rec, k] = utilities[rec]
-                tr_q[rec, k] = q_full[rec]
-                tr_w[rec, k] = weights[mask]
-                tr_c[rec, k] = cash[mask]
+                kr = k[rec]
+                tr_b[rec, kr] = level[rec]
+                tr_u[rec, kr] = utilities[rec]
+                tr_q[rec, kr] = q_full[rec]
+                tr_w[rec, kr] = weights[mask]
+                tr_c[rec, kr] = cash[mask]
 
-        db = increments[active, k]
+        h = dt[due]
+        db = increments[due, k[due]]
         if config.log_coordinates:
-            vol = coeff / u_act
-            log_u[active] += vol * db[:, None] - 0.5 * vol**2 * dt
-            utilities[active] = -np.exp(log_u[active])
+            vol = coeff / u_due
+            log_u[due] += vol * db[:, None] - 0.5 * vol**2 * h[:, None]
+            utilities[due] = -np.exp(log_u[due])
         else:
-            nxt = u_act + coeff * db[:, None]
+            nxt = u_due + coeff * db[:, None]
             flipped = nxt >= 0.0
             if flipped.any():
                 # a discrete step overshooting zero is clipped to the
                 # closest representable negative state; the explosion
                 # check at the next step start records the stop
                 nxt[flipped] = -np.finfo(float).tiny
-            utilities[active] = nxt
-        level[active] += db
+            utilities[due] = nxt
+        level[due] += db
         # predictor: renormalise the weights by the cash marginal's own
         # lognormal step; a guess out of range keeps the solved weights
         with np.errstate(over="ignore", invalid="ignore"):
-            guess = weights * np.exp(0.5 * sigma**2 * dt - sigma * db)[:, None]
+            guess = weights * np.exp(0.5 * sigma**2 * h - sigma * db)[:, None]
         fine = ((guess > 0.0) & (guess < np.inf)).all(axis=1)
-        warm_w[active] = np.where(fine[:, None], guess, weights)
+        warm_w[due] = np.where(fine[:, None], guess, weights)
+        k[due] += 1
+        live[due] = k[due] < n_steps[due]
 
+    stopped = reasons != 0
     # terminal row for paths that ran the full horizon
-    if active.size and record:
-        rec = active[active < record]
+    if record:
+        rec = np.flatnonzero(~stopped[:record])
         if rec.size:
             q_term = np.asarray(flow.at(1.0, utilities[rec], level[rec]),
                                 dtype=float)
@@ -470,27 +508,25 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
                 agents, model, rule, 1.0, level[rec], utilities[rec], q_term,
                 warm=(warm_w[rec], warm_c[rec]),
                 max_iter=config.newton_max_iter, tol=config.newton_tol)
-            tr_w[rec, n_steps], tr_c[rec, n_steps] = last.weights, last.cash
-            tr_b[rec, n_steps] = level[rec]
-            tr_u[rec, n_steps] = utilities[rec]
-            tr_q[rec, n_steps] = q_term
+            kr = n_steps[rec]
+            tr_w[rec, kr], tr_c[rec, kr] = last.weights, last.cash
+            tr_b[rec, kr] = level[rec]
+            tr_u[rec, kr] = utilities[rec]
+            tr_q[rec, kr] = q_term
 
     terminal = utilities.copy()
-    stopped = reasons != 0
     terminal[stopped] = np.nan
 
     results = []
-    if record:
-        times = np.arange(n_steps + 1) * dt
-        for i in range(record):
-            last = tr_last[i]
-            results.append(PathResult(
-                times=times[:last + 1], brownian=tr_b[i, :last + 1],
-                utilities=tr_u[i, :last + 1], weights=tr_w[i, :last + 1],
-                cash=tr_c[i, :last + 1], position=tr_q[i, :last + 1],
-                stopped=bool(stopped[i]),
-                tau=float(taus[i]) if stopped[i] else None,
-                stop_reason=_REASONS[reasons[i]]))
+    for i in range(record):
+        last = tr_last[i]
+        results.append(PathResult(
+            times=np.arange(last + 1) * dt[i], brownian=tr_b[i, :last + 1],
+            utilities=tr_u[i, :last + 1], weights=tr_w[i, :last + 1],
+            cash=tr_c[i, :last + 1], position=tr_q[i, :last + 1],
+            stopped=bool(stopped[i]),
+            tau=float(taus[i]) if stopped[i] else None,
+            stop_reason=_REASONS[reasons[i]]))
     return {
         "terminal": terminal,
         "reasons": tuple(_REASONS[c] for c in reasons),
@@ -623,13 +659,22 @@ def strong_error_study(agents: AgentSet, model: MarketModel, flow,
 
     All step sizes consume the same fine-grid increments (coarser grids
     aggregate them), so the comparison is pathwise and the expected
-    decay per halving of dt is the square root of two.
+    decay per halving of dt is the square root of two.  Every dt must be
+    a whole multiple of the finest.  The levels run as one lockstep
+    batch, one row per path and level: at each step time one conjugate
+    solve serves every level due then (on a dyadic ladder, as many
+    solves as the finest level has steps), and each row is computed as
+    it would be in a run of its level alone.
     """
     dts_desc = sorted((float(d) for d in dts), reverse=True)
     for d in dts_desc:
         if abs(round(1.0 / d) - 1.0 / d) > 1e-9:
             raise ValueError("every dt must divide the horizon evenly")
     fine = dts_desc[-1]
+    for d in dts_desc:
+        if abs(round(d / fine) - d / fine) > 1e-9:
+            raise ValueError(f"dt {d:g} is not a whole multiple of the "
+                             f"finest dt {fine:g}")
     n_fine = int(round(1.0 / fine))
     rule = QuadratureRule.gauss_hermite(config.quadrature_n)
     v0 = np.ones(agents.size) if weights is None else weights
@@ -637,16 +682,18 @@ def strong_error_study(agents: AgentSet, model: MarketModel, flow,
     p = config.n_paths
     fine_inc = brownian_increments(config.seed, 0, p, n_fine, fine)
     oracle = static_oracle_terminal(agents, model, init, fine_inc.sum(axis=1))
+    ladder = [(d, coarsen_increments(fine_inc, int(round(d / fine))))
+              for d in dts_desc]
+    chunk = _run_chunk(agents, model, flow, config, init, 0, p,
+                       ladder=ladder)
     errors, sim_means, completed = [], [], []
     all_done = np.ones(p, dtype=bool)
-    for d in dts_desc:
-        factor = int(round(d / fine))
-        inc = coarsen_increments(fine_inc, factor)
-        chunk = _run_chunk(agents, model, flow, replace(config, dt=d),
-                           init, 0, p, increments=inc)
-        done = np.array([r == COMPLETED for r in chunk["reasons"]])
-        errors.append(_mean(np.abs(chunk["terminal"][done] - oracle[done])))
-        sim_means.append(_mean(chunk["terminal"][done]))
+    for i in range(len(dts_desc)):
+        rows = slice(i * p, (i + 1) * p)
+        terminal = chunk["terminal"][rows]
+        done = np.array([r == COMPLETED for r in chunk["reasons"][rows]])
+        errors.append(_mean(np.abs(terminal[done] - oracle[done])))
+        sim_means.append(_mean(terminal[done]))
         completed.append(int(done.sum()))
         all_done &= done
     ratios = tuple(errors[i] / errors[i + 1] for i in range(len(errors) - 1))

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from impactdesk import fields
 from impactdesk.fields import (
@@ -18,7 +19,8 @@ from impactdesk.fields import (
     solve_conjugate,
 )
 from impactdesk.market import LinearPayoff, market_model
-from impactdesk.pareto import pareto_point, sharing_derivatives
+from impactdesk.pareto import (WEIGHT_RATIO_LIMIT, pareto_point,
+                               sharing_derivatives)
 from impactdesk.quadrature import QuadratureRule, degenerate_rule
 from impactdesk.utility import (
     TanhAversion,
@@ -38,6 +40,7 @@ LIN_MARKET = market_model(endowment=LinearPayoff(0.5),
                           dividends=[LinearPayoff(1.0)])
 FLAT_MARKET = market_model()
 RULE = QuadratureRule.gauss_hermite(64)
+RULE16 = QuadratureRule.gauss_hermite(16)
 
 
 def closed_form_factor(t, z, exposure):
@@ -207,6 +210,28 @@ def test_conjugate_warm_start_converges_fast():
     assert np.allclose(c2.weights, c1.weights, rtol=1e-10)
 
 
+def test_rows_solved_at_their_warm_start_take_no_newton_step(monkeypatch):
+    # restarted at its own solution every row meets tol on the first
+    # residual: one field evaluation, no Jacobian and no step counted
+    rng = np.random.default_rng(8)
+    u = -np.exp(rng.uniform(-2.0, 0.5, size=(5, 2)))
+    first = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.3, 0.2, u, [0.5])
+    assert first.converged.all() and first.iterations > 0
+    evaluate, calls = fields.field_core, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("with_integrand"))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "field_core", counted)
+    again = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.3, 0.2, u, [0.5],
+                             warm=(first.weights, first.cash))
+    assert calls == [True]
+    assert again.iterations == 0
+    assert again.converged.all()
+    assert again.weights.tobytes() == first.weights.tobytes()
+
+
 def test_conjugate_batch_matches_scalar():
     rng = np.random.default_rng(3)
     u = -np.exp(rng.uniform(-2.0, 0.5, size=(20, 2)))
@@ -344,6 +369,56 @@ def test_row_fault_leaves_other_rows_alone(monkeypatch, fault):
     for key in ROW_KEYS:
         got, want = getattr(both, key), getattr(alone, key)
         assert got[0].tobytes() == want[0].tobytes(), key
+
+
+# one conjugate row target per draw: ordinary utilities, a pair whose
+# ratio puts the solved weights near WEIGHT_RATIO_LIMIT, or a component
+# near underflow (down to subnormal), with its factor level and position
+_LOG_LIMIT = math.log(WEIGHT_RATIO_LIMIT)
+_ORDINARY = st.tuples(st.floats(-2.0, 1.0), st.floats(-2.0, 1.0))
+_NEAR_LIMIT = st.tuples(st.floats(-1.0, 1.0), st.floats(0.9, 1.1),
+                        st.sampled_from([-1.0, 1.0])).map(
+    lambda d: (d[0] + d[1] * d[2] * _LOG_LIMIT / 2,
+               d[0] - d[1] * d[2] * _LOG_LIMIT / 2))
+_NEAR_UNDERFLOW = st.tuples(st.floats(-744.0, -690.0), st.floats(-2.0, 1.0),
+                            st.booleans()).map(
+    lambda d: (d[0], d[1]) if d[2] else (d[1], d[0]))
+_TARGET_ROWS = st.lists(
+    st.tuples(st.one_of(_ORDINARY, _NEAR_LIMIT, _NEAR_UNDERFLOW),
+              st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
+    min_size=2, max_size=5)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rows=_TARGET_ROWS, warm=st.booleans())
+@example(rows=[((-744.0, 0.0), 0.3, 0.2), ((-0.5, 0.3), 0.0, 0.5)],
+         warm=True)
+def test_coefficient_rows_at_extreme_targets(rows, warm):
+    # each row converges to finite numbers or comes back masked (nan),
+    # never raising or warning (RuntimeWarnings fail the suite), and its
+    # bits are those of its solo solve; the lockstep Euler relies on this.
+    # The example is a warm-started row whose log-weights run past exp's
+    # range before it is given up
+    u = -np.exp(np.array([r[0] for r in rows]))
+    z = np.array([r[1] for r in rows])
+    q = np.array([[r[2]] for r in rows])
+    b = len(rows)
+    start = (np.ones((b, 2)), np.full(b, 0.5)) if warm else None
+    batch = coefficient_rows(TANH_MIX, LIN_MARKET, RULE16, 0.4, z, u, q,
+                             warm=start)
+    for i in range(b):
+        values = [getattr(batch, key)[i] for key in ROW_KEYS[:-1]]
+        if batch.converged[i]:
+            assert all(np.isfinite(v).all() for v in values)
+        else:
+            assert all(np.isnan(v).all() for v in values)
+        row = slice(i, i + 1)
+        one = coefficient_rows(
+            TANH_MIX, LIN_MARKET, RULE16, 0.4, z[row], u[row], q[row],
+            warm=None if start is None else (start[0][row], start[1][row]))
+        for key in ROW_KEYS:
+            got, want = getattr(batch, key), getattr(one, key)
+            assert got[i].tobytes() == want[0].tobytes(), key
 
 
 def _field_states(n, seed):

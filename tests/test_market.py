@@ -160,3 +160,19 @@ def test_unknown_mode_and_name_rejected():
         check_integrability(m, PAIR, (1.0,), "fancy")
     with pytest.raises(UnsupportedPayoffError):
         NamedPayoff("sinh")
+
+
+def test_terminal_wealth_batched_rows_are_single_states():
+    # cash (B,), positions (B, J) and levels (B, n) give (B, n), each row
+    # the bits of its own single-state call, a zero position included
+    m = market_model(endowment=NamedPayoff("tanh"),
+                     dividends=[NamedPayoff("sin"), LinearPayoff(1.0)])
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=4)
+    q = np.vstack([np.zeros(2), rng.uniform(-2.0, 2.0, size=(3, 2))])
+    z = rng.normal(size=(4, 5))
+    batch = terminal_wealth(m, x, q, z)
+    assert batch.shape == (4, 5)
+    for i in range(4):
+        assert batch[i].tobytes() == terminal_wealth(m, x[i], q[i],
+                                                     z[i]).tobytes()

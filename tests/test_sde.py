@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from impactdesk import fields
+from impactdesk import fields, sde
 from impactdesk.market import LinearPayoff, market_model
 from impactdesk.quadrature import QuadratureRule
 from impactdesk.sde import (COMPLETED, EXPLOSION, INFEASIBLE, ConstantFlow,
@@ -214,7 +214,8 @@ def test_warm_start_predictor_needs_one_field_evaluation_per_step(
         monkeypatch):
     # on the exponential pair with linear payoffs the cash marginal is
     # lognormal and the log-Euler step exact, so the predicted warm point
-    # already solves each step's conjugate system to tolerance
+    # already solves each step's conjugate system to tolerance: one field
+    # evaluation and no Newton step
     solve, evaluate = fields._conjugate_batch, fields.field_core
     residuals, per_solve, iterations = [0], [], []
 
@@ -236,7 +237,7 @@ def test_warm_start_predictor_needs_one_field_evaluation_per_step(
     summ = run_ensemble(EXP_PAIR, LIN, HALF_FLOW, cfg, cash=1.5)
     assert summ.n_completed == 20
     assert per_solve == [1] * cfg.n_steps
-    assert iterations == [1] * cfg.n_steps
+    assert iterations == [0] * cfg.n_steps
 
 
 def test_predictor_out_of_range_keeps_the_solved_weights(monkeypatch):
@@ -461,3 +462,112 @@ def test_worker_count_does_not_change_results(monkeypatch):
                     assert np.array_equal(ra.utilities, rb.utilities)
                     assert np.array_equal(ra.weights, rb.weights)
                     assert np.array_equal(ra.position, rb.position)
+
+
+# --------------------------------------------------------------------------
+# strong-error ladder in lockstep
+
+
+def _ladder_alone(agents, flow, cfg, dts):
+    """Each level run on its own at config dt = d, then the study's
+    aggregates from those runs: the route that runs a level at a time."""
+    init = initial_state(agents, LIN, QuadratureRule.gauss_hermite(
+        cfg.quadrature_n), np.ones(agents.size), 1.5, flow.initial_position)
+    fine = min(dts)
+    n_fine = int(round(1.0 / fine))
+    fine_inc = brownian_increments(cfg.seed, 0, cfg.n_paths, n_fine, fine)
+    oracle = static_oracle_terminal(agents, LIN, init, fine_inc.sum(axis=1))
+    ladder, chunks = [], []
+    for d in sorted(dts, reverse=True):
+        inc = coarsen_increments(fine_inc, int(round(d / fine)))
+        ladder.append((d, inc))
+        chunks.append(sde._run_chunk(agents, LIN, flow, replace(cfg, dt=d),
+                                     init, 0, cfg.n_paths, increments=inc))
+    errors, means, completed = [], [], []
+    all_done = np.ones(cfg.n_paths, dtype=bool)
+    for chunk in chunks:
+        done = np.array([r == COMPLETED for r in chunk["reasons"]])
+        u = chunk["terminal"][done]
+        errors.append(np.abs(u - oracle[done]).mean() if u.size else np.nan)
+        means.append(u.mean() if u.size else np.nan)
+        completed.append(int(done.sum()))
+        all_done &= done
+    study = (errors, means, completed,
+             oracle[all_done].mean() if all_done.any() else np.nan)
+    return init, ladder, chunks, study
+
+
+@pytest.mark.parametrize("agents,flow,dts,log", [
+    (TANH_MIX, HALF_FLOW, [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6], False),
+    (TANH_MIX, HALF_FLOW, [0.2, 1.0 / 15.0], True),
+    (EXP_PAIR, step_feedback(0.5, [0.5], [6.0]),
+     [2.0**-3, 2.0**-4, 2.0**-5], False),
+], ids=["tanh-dyadic-direct", "tanh-nondyadic-log", "step-feedback-stops"])
+def test_lockstep_ladder_matches_each_level_run_alone(monkeypatch, agents,
+                                                      flow, dts, log):
+    cfg = SimulationConfig(n_paths=6, seed=4, quadrature_n=12,
+                           log_coordinates=log, newton_tol=1e-9)
+    init, ladder, alone, (errors, means, completed, oracle_mean) = \
+        _ladder_alone(agents, flow, cfg, dts)
+    times = []
+    solve = sde.coefficient_rows
+
+    def counted(agents, model, rule, t, *args, **kwargs):
+        times.append(t)
+        return solve(agents, model, rule, t, *args, **kwargs)
+
+    monkeypatch.setattr(sde, "coefficient_rows", counted)
+    lock = sde._run_chunk(agents, LIN, flow, cfg, init, 0, cfg.n_paths,
+                          ladder=ladder)
+    # one solve per distinct step time, compared as floats: on [0.2, 1/15]
+    # 3 * 0.2 = 0.6000000000000001 and 9 * (1/15) = 0.6 are two solves
+    steps = sorted({k * d for d, inc in ladder for k in range(inc.shape[1])})
+    if flow is HALF_FLOW:
+        assert times == steps
+    else:
+        assert times == sorted(set(times)) and set(times) <= set(steps)
+    assert lock["terminal"].tobytes() == np.concatenate(
+        [c["terminal"] for c in alone]).tobytes()
+    assert lock["reasons"] == tuple(r for c in alone for r in c["reasons"])
+    assert lock["taus"].tobytes() == np.concatenate(
+        [c["taus"] for c in alone]).tobytes()
+    if flow is not HALF_FLOW:
+        assert EXPLOSION in lock["reasons"] and COMPLETED in lock["reasons"]
+
+    study = strong_error_study(agents, LIN, flow, cfg, dts, cash=1.5)
+    assert study.dts == tuple(sorted(dts, reverse=True))
+    assert np.array(study.errors).tobytes() == np.array(errors).tobytes()
+    assert np.array(study.sim_means).tobytes() == np.array(means).tobytes()
+    assert study.n_completed == tuple(completed)
+    assert np.float64(study.oracle_mean).tobytes() == \
+        np.float64(oracle_mean).tobytes()
+
+
+def test_dyadic_ladder_makes_one_conjugate_solve_per_finest_step(
+        monkeypatch):
+    # levels 2^-4 ... 2^-7 are due together at every step time of the
+    # coarser ones: 128 solves, where a level at a time makes 16 + 32 +
+    # 64 + 128 = 240
+    calls = []
+    solve = sde.coefficient_rows
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[5])[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "coefficient_rows", counted)
+    cfg = SimulationConfig(n_paths=2, seed=5, quadrature_n=8)
+    study = strong_error_study(EXP_PAIR, LIN, HALF_FLOW, cfg,
+                               [2.0**-k for k in range(4, 8)], cash=1.5)
+    assert study.n_completed == (2, 2, 2, 2)
+    assert len(calls) == 128
+    assert sum(calls) == 2 * (16 + 32 + 64 + 128)
+
+
+@pytest.mark.parametrize("dts,bad", [([0.25, 0.2], "0.25"),
+                                     ([0.5, 0.2], "0.5")])
+def test_ladder_that_does_not_nest_is_refused_by_name(dts, bad):
+    cfg = SimulationConfig(n_paths=2, seed=1, quadrature_n=8)
+    with pytest.raises(ValueError, match=f"dt {bad} is not a whole multiple "
+                       "of the finest dt 0.2"):
+        strong_error_study(EXP_PAIR, LIN, HALF_FLOW, cfg, dts, cash=1.5)
