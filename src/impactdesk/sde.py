@@ -42,6 +42,16 @@ stops converging (conjugate-infeasible — the state left the reachable
 region some other way).  The solve reports each path's row in a mask,
 so a fault in one path never stops another.
 
+Rows with their own step size share each step time.  Every row keeps
+its own step size dt_r and step counter k_r, and one engine pass steps,
+in one conjugate solve, every row whose own k_r * dt_r equals the
+earliest step time pending.  An ensemble's rows all share one dt; the
+strong-error study runs its whole dt ladder as rows of one block, so on
+a dyadic ladder every level due at a fine step time shares that step's
+solve.  Step times are compared as floats, never rounded to a common
+clock, so each row steps at exactly the times a run of its level alone
+would.
+
 Brownian increments come from counter-based per-path streams keyed by
 (seed, absolute path index), and each path's coefficient row is
 computed as it would be alone, so results are reproducible, bit-for-bit
@@ -361,16 +371,14 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
                                              n_paths, config.n_steps,
                                              config.dt)
         ladder = [(config.dt, increments)]
-    p = n_paths * len(ladder)
-    dt = np.empty(p)
-    n_steps = np.empty(p, dtype=np.int64)
-    for i, (d, inc) in enumerate(ladder):
-        n = int(round(1.0 / d))
+    steps = [int(round(1.0 / d)) for d, _ in ladder]
+    for (_, inc), n in zip(ladder, steps):
         if inc.shape != (n_paths, n):
             raise ValueError("increment array does not match (paths, steps)")
-        dt[i * n_paths:(i + 1) * n_paths] = d
-        n_steps[i * n_paths:(i + 1) * n_paths] = n
-    n_max = int(n_steps.max())
+    p = n_paths * len(ladder)
+    dt = np.repeat([d for d, _ in ladder], n_paths)
+    n_steps = np.repeat(steps, n_paths)
+    n_max = max(steps)
     if len(ladder) == 1:
         increments = ladder[0][1]
     else:
