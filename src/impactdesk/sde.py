@@ -357,13 +357,10 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
     Every row steps at config.dt on `increments` (drawn when None),
     unless a `ladder` of (dt, increments) levels, each increments of
     shape (n_paths, 1/dt), is given: then level i's paths are rows
-    i*n_paths to (i+1)*n_paths - 1, each with the level's step size, and
-    the results come back in that level-major order.  Row r keeps its
-    own step counter k_r; each pass takes the earliest pending step time
-    t = min k_r*dt_r and steps every row whose own k_r*dt_r equals t bit
-    for bit, in one batch.  Step times are compared as floats, never
-    rounded to a common clock, so each row sees exactly the times it
-    would see alone.
+    i*n_paths to (i+1)*n_paths - 1, stepping at the level's dt, and the
+    results come back in that level-major order.  Each pass steps the
+    rows due at the earliest pending step time (see the module
+    docstring); stops record the row's own step k_r and tau k_r * dt_r.
     """
     if ladder is None:
         if increments is None:
@@ -675,11 +672,10 @@ def strong_error_study(agents: AgentSet, model: MarketModel, flow,
     it would be in a run of its level alone.
     """
     dts_desc = sorted((float(d) for d in dts), reverse=True)
+    fine = dts_desc[-1]
     for d in dts_desc:
         if abs(round(1.0 / d) - 1.0 / d) > 1e-9:
             raise ValueError("every dt must divide the horizon evenly")
-    fine = dts_desc[-1]
-    for d in dts_desc:
         if abs(round(d / fine) - d / fine) > 1e-9:
             raise ValueError(f"dt {d:g} is not a whole multiple of the "
                              f"finest dt {fine:g}")
