@@ -35,12 +35,11 @@ system to round-off and the solve needs one field evaluation; on other
 desks the predictor is first-order and the Newton corrects it.
 
 A path ends in one of three ways, recorded per path rather than
-raised: it reaches the horizon below the threshold (completed); some
-component climbs above the explosion threshold -eps, at a step time or
-at the horizon (explosion — the system only admits a local solution
-and this is its boundary); or the conjugate solve stops converging
-(conjugate-infeasible — the state left the reachable region some other
-way).  The solve reports each path's row in a mask,
+raised: it reaches the horizon (completed); some component climbs
+above the explosion threshold -eps (explosion — the system only admits
+a local solution and this is its boundary); or the conjugate solve
+stops converging (conjugate-infeasible — the state left the reachable
+region some other way).  The solve reports each path's row in a mask,
 so a fault in one path never stops another.
 
 Rows with their own step size share each step time.  Every row keeps
@@ -488,8 +487,8 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
             flipped = nxt >= 0.0
             if flipped.any():
                 # a discrete step overshooting zero is clipped to the
-                # closest representable negative state; the next
-                # explosion check records the stop
+                # closest representable negative state; the explosion
+                # check at the next step start records the stop
                 nxt[flipped] = -np.finfo(float).tiny
             utilities[due] = nxt
         level[due] += db
@@ -501,13 +500,6 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
         warm_w[due] = np.where(fine[:, None], guess, weights)
         k[due] += 1
         live[due] = k[due] < n_steps[due]
-        # no step start follows the last step, so a row ending it above
-        # the threshold is checked here: it exploded at the horizon
-        ended = due[~live[due]]
-        burst = ended[utilities[ended].max(axis=1) > -eps]
-        if burst.size:
-            q_full[burst] = flow.at(1.0, utilities[burst], level[burst])
-            drop(burst, 1)
 
     stopped = reasons != 0
     # terminal row for paths that ran the full horizon

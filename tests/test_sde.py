@@ -353,27 +353,6 @@ def test_explosion_stop_adversarial_feedback():
         assert np.isnan(rec.cash[-1]) and np.all(np.isfinite(rec.cash[:-1]))
 
 
-def test_explosion_on_the_last_step_stops_at_the_horizon():
-    # path 5 of this direct-coordinate run overshoots zero on its last
-    # step; no step start follows, yet the path is an explosion at tau = 1
-    flow = step_feedback(0.75, [0.5], [20.0])
-    init = initial_state(EXP_PAIR, LIN, RULE, [1.0, 1.0], 1.5,
-                         flow.initial_position)
-    eps = 1e-6 * np.abs(init.utilities).min()
-    cfg = SimulationConfig(dt=2.0**-5, n_paths=6, seed=1182, quadrature_n=8,
-                           log_coordinates=False, newton_tol=1e-8)
-    summ = run_ensemble(EXP_PAIR, LIN, flow, cfg, cash=1.5, record=6)
-    assert summ.n_explosion == 6
-    rec = summ.recorded[5]
-    assert rec.stop_reason == EXPLOSION and rec.tau == 1.0 == summ.taus[5]
-    assert rec.times[-1] == 1.0 and rec.times.size == cfg.n_steps + 1
-    assert rec.utilities[-1].max() > -eps
-    assert np.all(rec.utilities[:-1].max(axis=1) <= -eps)
-    assert np.isnan(rec.cash[-1]) and np.all(np.isfinite(rec.cash[:-1]))
-    assert np.array_equal(rec.position[-1], [20.0])
-    assert np.all(np.isnan(summ.terminal_utilities[5]))
-
-
 @settings(max_examples=8, deadline=None)
 @given(kind=st.sampled_from(["feedback", "schedule"]),
        t_switch=st.sampled_from([0.25, 0.5, 0.75]),
@@ -402,12 +381,7 @@ def test_flows_towards_explosion_stop_every_path_with_a_reason(
         assert [r.stop_reason for r in summ.recorded] == \
             list(summ.stop_reasons)
     solo, split = runs
-    # these all explode: with three quarters of the horizon left after the
-    # switch, or half of it in log coordinates; a later switch leaves the
-    # coarse Euler step room to throw a path far below zero, where it
-    # completes
-    sure = t_switch <= (0.5 if log else 0.25)
-    assert after < 20.0 or not sure or solo.n_completed == 0
+    assert after < 20.0 or solo.n_completed == 0     # these all explode
     assert solo.stop_reasons == split.stop_reasons
     assert np.array_equal(solo.taus, split.taus, equal_nan=True)
     assert np.array_equal(solo.terminal_utilities, split.terminal_utilities,
