@@ -350,24 +350,21 @@ def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:
 def _run_chunk(agents, model, flow, config: SimulationConfig,
                initial: InitialState, first_path: int, n_paths: int,
                record: int = 0,
-               increments: Optional[np.ndarray] = None,
                ladder: Optional[Sequence[tuple]] = None) -> dict:
     """Lockstep Euler over a contiguous block of path indices.
 
-    Every row steps at config.dt on `increments` (drawn when None),
-    unless a `ladder` of (dt, increments) levels, each increments of
-    shape (n_paths, 1/dt), is given: then level i's paths are rows
-    i*n_paths to (i+1)*n_paths - 1, stepping at the level's dt, and the
-    results come back in that level-major order.  Each pass steps the
-    rows due at the earliest pending step time (see the module
-    docstring); stops record the row's own step k_r and tau k_r * dt_r.
+    The noise is a `ladder` of (dt, increments) levels, each increments
+    of shape (n_paths, 1/dt); level i's paths are rows i*n_paths to
+    (i+1)*n_paths - 1, stepping at the level's dt, and the results come
+    back in that level-major order.  When None, it is one level at
+    config.dt drawn from config.seed; a given ladder sets every step
+    size.  Each pass steps the rows due at the earliest pending step
+    time (see the module docstring); stops record the row's own step
+    k_r and tau k_r * dt_r.
     """
     if ladder is None:
-        if increments is None:
-            increments = brownian_increments(config.seed, first_path,
-                                             n_paths, config.n_steps,
-                                             config.dt)
-        ladder = [(config.dt, increments)]
+        ladder = [(config.dt, brownian_increments(
+            config.seed, first_path, n_paths, config.n_steps, config.dt))]
     steps = [int(round(1.0 / d)) for d, _ in ladder]
     for (_, inc), n in zip(ladder, steps):
         if inc.shape != (n_paths, n):
@@ -545,9 +542,10 @@ def simulate_path(agents: AgentSet, model: MarketModel, flow,
                   path_index: int = 0,
                   increments: Optional[np.ndarray] = None) -> PathResult:
     """Run one path with a full trace."""
+    ladder = None if increments is None else [(config.dt, increments)]
     chunk = _run_chunk(agents, model, flow, replace(config, n_paths=1),
                        initial, first_path=path_index, n_paths=1, record=1,
-                       increments=increments)
+                       ladder=ladder)
     return chunk["recorded"][0]
 
 
