@@ -469,7 +469,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
 
 
 def _ladder_alone(agents, flow, cfg, dts):
-    """Each level run on its own as a one-level ladder, then the study's
+    """Each level run on its own at config dt = d, then the study's
     aggregates from those runs: the route that runs a level at a time."""
     init = initial_state(agents, LIN, QuadratureRule.gauss_hermite(
         cfg.quadrature_n), np.ones(agents.size), 1.5, flow.initial_position)
@@ -481,8 +481,9 @@ def _ladder_alone(agents, flow, cfg, dts):
     for d in sorted(dts, reverse=True):
         inc = coarsen_increments(fine_inc, int(round(d / fine)))
         ladder.append((d, inc))
-        chunks.append(sde._run_chunk(agents, LIN, flow, cfg, init, 0,
-                                     cfg.n_paths, ladder=[(d, inc)]))
+        chunks.append(sde._run_chunk(agents, LIN, flow, replace(cfg, dt=d),
+                                     init, 0, cfg.n_paths,
+                                     ladder=[(d, inc)]))
     errors, means, completed = [], [], []
     all_done = np.ones(cfg.n_paths, dtype=bool)
     for chunk in chunks:
