@@ -7,10 +7,18 @@ multiplier lam = d(value)/dx:
 
     v^m u_m'(y^m) = lam,        sum_m y^m = x.
 
-The solver runs a bracket-safeguarded Newton iteration in log(lam)
-(the "rtsafe" hybrid of Numerical Recipes, section 9.4).  The aversion
-band [1/c, c] bounds the slope of the aggregate response away from zero
-and infinity, which yields an a-priori bracket around any initial guess.
+The solver runs a bracket-safeguarded iteration in log(lam) (the
+"rtsafe" hybrid of Numerical Recipes, section 9.4) whose steps are
+Halley's: the aversion's own derivative a' gives the residual's
+curvature, and it is the Newton step bit for bit where every member has
+constant aversion.  The aversion band [1/c, c] bounds the slope of the
+aggregate response away from zero and infinity, which yields an
+a-priori bracket around any initial guess.  Each point starts from the
+constant-aversion seed, which is exact when every member is exponential,
+or from a per-point seed its caller predicts: `fields` carries each
+conjugate row's multiplier state from one field evaluation to the next
+(see `sharing_planes`), which starts points on desks whose aversion
+varies much closer to their roots.
 Only the points left open by the first residual get brackets, and
 points that meet their tolerance are frozen while the rest iterate, so
 each point's result is the same whatever batch it is solved in; a point
@@ -85,12 +93,14 @@ def check_weights(v: np.ndarray):
 
 
 def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
-                          atol_scale: float = 1e-13):
+                          atol_scale: float = 1e-13, seed=None):
     """Solve sum_m (u_m')^{-1}(exp(l) / v^m) = x for l = log(lam).
 
     logv carries the member axis last and must broadcast against x after
     dropping it; l and the allocations come back in the broadcast shape.
-    Returns (l, allocations list).
+    seed, if given, is a starting l per point in that shape; a point
+    whose seed is not finite starts from the constant-aversion seed, as
+    every point does without one.  Returns (l, allocations list).
 
     The first residual is taken at every point at once, with logv at its
     own shape: weights shared by a row of points are never repeated per
@@ -103,13 +113,24 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     residual is not finite has no root to bracket and ends at once; a
     row still open after 100 steps ends there.  Both return NaN l and
     NaN allocations.
+
+    Each step is Halley's: with psi the residual, S = sum_m t_m its
+    slope's magnitude and Q = -sum_m a_m' t_m^3 its curvature,
+
+        l += psi / (S - psi Q / (2 S)),
+
+    which is the Newton step psi / S bit for bit where Q is 0 (every
+    member of constant aversion).  Where the denominator falls below S / 2
+    the point is too far from its root for the cubic model to help, and
+    it takes the Newton step; a step that leaves the bracket bisects it.
     """
     members = agents.members
     nm = len(members)
     shape = np.broadcast_shapes(logv.shape[:-1], x.shape)
     if not shape:       # one point: solve it as a row of one
-        l, xhat = _solve_log_multiplier(agents, logv.reshape(1, nm),
-                                        x.reshape(1), atol_scale)
+        l, xhat = _solve_log_multiplier(
+            agents, logv.reshape(1, nm), x.reshape(1), atol_scale,
+            None if seed is None else np.reshape(seed, 1))
         return l.reshape(()), [xm.reshape(()) for xm in xhat]
     t0 = 1.0 / agents.aversion_at_zero
     # constant-aversion proxy: exact for exponential members, a good seed
@@ -118,6 +139,8 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     for m in range(nm):
         l = l + t0[m] * logv[..., m]
     l = (l - x) / t0.sum()
+    if seed is not None:
+        l = np.where(np.isfinite(seed), seed, l)
     xhat = [inverse_log_marginal(members[m], (l - logv[..., m]).reshape(-1))
             for m in range(nm)]
     l = l.reshape(-1)
@@ -156,15 +179,33 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
         lo, hi, lr = lo[open_], hi[open_], l[rows]
         lo = np.where(psi > 0.0, lr, lo)
         hi = np.where(psi <= 0.0, lr, hi)
-        slope = sum(1.0 / _aversion(members[m], xhat[m][rows])[0]
-                    for m in range(nm))
-        l_new = lr + psi / slope
+        l_new = lr + _halley_step(members, xhat, rows, psi)
         outside = (l_new <= lo) | (l_new >= hi)
         l[rows] = lr = np.where(outside, 0.5 * (lo + hi), l_new)
         xr, psi = residual(lr, rows)
         for m in range(nm):
             xhat[m][rows] = xr[m]
     return l.reshape(shape), [xm.reshape(shape) for xm in xhat]
+
+
+def _halley_step(members, xhat, rows, psi):
+    """The multiplier step at the open rows (see `_solve_log_multiplier`).
+
+    a' comes from each member's aversion profile, so the step needs no
+    derivative budget beyond the utility's second; a constant-aversion
+    member adds one number to S and nothing to Q.
+    """
+    slope = curve = 0.0
+    for spec, xm in zip(members, xhat):
+        if spec.family == "exponential":
+            slope = slope + 1.0 / spec.coefficient
+            continue
+        a, da = spec.aversion.derivatives(xm[rows], 1)
+        t = 1.0 / a
+        slope = slope + t
+        curve = curve - da * t**3
+    halley = slope - psi * curve / (2.0 * slope)
+    return psi / np.where(halley >= 0.5 * slope, halley, slope)
 
 
 def _aversion(spec, x, order: int = 0):
@@ -217,7 +258,7 @@ def unstack(stack: np.ndarray, n_members: int, order: int) -> dict:
 
 @_quiet
 def sharing_planes(agents: AgentSet, v: np.ndarray, x: np.ndarray,
-                   order: int = 2) -> dict:
+                   order: int = 2, seed=None) -> dict:
     """Sharing value and partials as one stack of planes.
 
     Takes v and x as `sharing_derivatives` does.  A plane is one partial,
@@ -234,14 +275,18 @@ def sharing_planes(agents: AgentSet, v: np.ndarray, x: np.ndarray,
     t_m is a single number, and so is T when every member has constant
     aversion.
 
-    Returns a dict with keys log_multiplier, allocation (a list of M
-    planes) and stack.
+    seed is an optional starting log-multiplier per point, as
+    `_solve_log_multiplier` takes it.  Returns a dict with keys
+    log_multiplier, allocation (a list of M planes) and stack, and for
+    order >= 2 also tolerance_share (the M factors t_m / T) and tolerance
+    (T): with log_multiplier they predict the multiplier at nearby
+    weights and wealth (see `fields`).
     """
     members = agents.members
     nm = len(members)
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
-    l, xhat = _solve_log_multiplier(agents, np.log(v), x)
+    l, xhat = _solve_log_multiplier(agents, np.log(v), x, seed=seed)
     rows = plane_rows(nm, order)
     stack = np.empty((max(r.stop for r in rows.values()),) + l.shape)
 
@@ -277,7 +322,10 @@ def sharing_planes(agents: AgentSet, v: np.ndarray, x: np.ndarray,
         for m in range(nm):
             plane("value_xxv", m)[...] = (lam * t[m] / (v[..., m] * big_t**2)
                                           * (tp[m] - 1.0 - s1 / big_t))
-    return {"log_multiplier": l, "allocation": xhat, "stack": stack}
+    out = {"log_multiplier": l, "allocation": xhat, "stack": stack}
+    if order >= 2:
+        out["tolerance_share"], out["tolerance"] = share, big_t
+    return out
 
 
 def sharing_derivatives(agents: AgentSet, v: np.ndarray, x: np.ndarray,

@@ -37,7 +37,8 @@ desks the predictor is first-order and the Newton corrects it.
 A path ends in one of three ways, recorded per path rather than
 raised: it reaches the horizon (completed); some component climbs
 above the explosion threshold -eps (explosion — the system only admits
-a local solution and this is its boundary); or the conjugate solve
+a local solution and this is its boundary), checked at every step
+start and at the end of the last step; or the conjugate solve
 stops converging (conjugate-infeasible — the state left the reachable
 region some other way).  The solve reports each path's row in a mask,
 so a fault in one path never stops another.
@@ -485,7 +486,7 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
             if flipped.any():
                 # a discrete step overshooting zero is clipped to the
                 # closest representable negative state; the explosion
-                # check at the next step start records the stop
+                # check records the stop
                 nxt[flipped] = -np.finfo(float).tiny
             utilities[due] = nxt
         level[due] += db
@@ -497,6 +498,12 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
         warm_w[due] = np.where(fine[:, None], guess, weights)
         k[due] += 1
         live[due] = k[due] < n_steps[due]
+        # a row whose last step ends past the threshold has no next step
+        # start to catch it: it stops there, at tau 1
+        last = due[~live[due]]
+        exploded = last[utilities[last].max(axis=1) > -eps]
+        if exploded.size:
+            drop(exploded, 1)
 
     stopped = reasons != 0
     # terminal row for paths that ran the full horizon

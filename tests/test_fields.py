@@ -337,6 +337,42 @@ def test_coefficient_rows_do_not_depend_on_their_batch(monkeypatch):
                 assert got[i].tobytes() == want[0].tobytes(), key
 
 
+def test_seeded_coefficient_rows_match_their_rows_alone(monkeypatch):
+    # on a desk with a varying aversion every residual after a row's
+    # first starts the multiplier solve from that row's own last
+    # evaluation, line-search trials included; the seeded batch keeps the
+    # bits of each row solved alone, and stays within solver tolerance of
+    # solves that start every multiplier cold
+    rng = np.random.default_rng(12)
+    u = -np.exp(rng.uniform(-2.0, 1.0, size=(9, 2)))
+    z = rng.normal(size=9)
+    q = rng.uniform(-1.0, 1.0, size=(9, 1))
+    evaluate, seeded = fields.field_core, []
+
+    def counted(*args, **kwargs):
+        mult = kwargs.get("_multiplier")
+        seeded.append(mult is not None and mult["seed"] is not None)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "field_core", counted)
+    batch = coefficient_rows(TANH_MIX, LIN_MARKET, RULE16, 0.4, z, u, q)
+    assert batch.converged.all() and batch.iterations > 1
+    # the probe and the first residual start cold, every later one seeded
+    assert seeded[:2] == [False, False] and all(seeded[2:])
+    for i in range(u.shape[0]):
+        row = slice(i, i + 1)
+        one = coefficient_rows(TANH_MIX, LIN_MARKET, RULE16, 0.4, z[row],
+                               u[row], q[row])
+        for key in ROW_KEYS:
+            got, want = getattr(batch, key), getattr(one, key)
+            assert got[i].tobytes() == want[0].tobytes(), key
+    monkeypatch.setattr(fields._MultiplierSeeds, "predict",
+                        lambda self, rows, logv, cash: None)
+    cold = coefficient_rows(TANH_MIX, LIN_MARKET, RULE16, 0.4, z, u, q)
+    np.testing.assert_allclose(batch.weights, cold.weights, rtol=1e-9)
+    np.testing.assert_allclose(batch.cash, cold.cash, rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("fault", ["trial", "singular", "nan"])
 def test_row_fault_leaves_other_rows_alone(monkeypatch, fault):
     # row 1 gets a fault: its first line-search trial comes back out of

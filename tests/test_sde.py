@@ -11,9 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from impactdesk import fields, sde
+from impactdesk import fields, pareto, sde
 from impactdesk.market import LinearPayoff, market_model
 from impactdesk.quadrature import QuadratureRule
 from impactdesk.sde import (COMPLETED, EXPLOSION, INFEASIBLE, ConstantFlow,
@@ -210,6 +210,34 @@ def test_gbm_log_euler_exact():
     assert np.all(path.utilities < 0.0)
 
 
+def test_conjugate_solves_seed_their_multiplier_solves(monkeypatch):
+    # on a tanh desk each conjugate residual after a row's first seeds
+    # the multiplier solve from the row's last evaluation, so a small
+    # direct-coordinate strong-error study takes at most 2.5 multiplier
+    # residual evaluations (table inverses per member) per sharing call;
+    # cold seeds take 4
+    calls, sharing = [0], [0]
+    inverse, planes = pareto.inverse_log_marginal, fields.sharing_planes
+
+    def counted_inverse(spec, w):
+        calls[0] += 1
+        return inverse(spec, w)
+
+    def counted_planes(*args, **kwargs):
+        sharing[0] += 1
+        return planes(*args, **kwargs)
+
+    monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+    monkeypatch.setattr(pareto, "inverse_log_marginal", counted_inverse)
+    monkeypatch.setattr(fields, "sharing_planes", counted_planes)
+    dts = [2.0**-3, 2.0**-4, 2.0**-5]
+    cfg = SimulationConfig(dt=dts[-1], n_paths=4, seed=3, quadrature_n=8,
+                           log_coordinates=False, newton_tol=1e-7)
+    study = strong_error_study(TANH_MIX, LIN, HALF_FLOW, cfg, dts, cash=1.5)
+    assert study.n_completed == (4, 4, 4)
+    assert calls[0] <= 2.5 * TANH_MIX.size * sharing[0]
+
+
 def test_warm_start_predictor_needs_one_field_evaluation_per_step(
         monkeypatch):
     # on the exponential pair with linear payoffs the cash marginal is
@@ -353,17 +381,45 @@ def test_explosion_stop_adversarial_feedback():
         assert np.isnan(rec.cash[-1]) and np.all(np.isfinite(rec.cash[:-1]))
 
 
+def test_last_step_past_the_threshold_is_an_explosion():
+    # path 5 ends its last Euler step with a sign flip, clipped to the
+    # smallest negative double; no step start follows to catch it, so the
+    # check after the last step stops it at tau 1 instead of completing it
+    flow = step_feedback(0.75, [0.5], [20.0])
+    cfg = SimulationConfig(dt=2.0**-5, n_paths=6, seed=1182, quadrature_n=8,
+                           log_coordinates=False, newton_tol=1e-8)
+    summ = run_ensemble(EXP_PAIR, LIN, flow, cfg, cash=1.5, record=6)
+    assert summ.stop_reasons[5] == EXPLOSION
+    assert summ.taus[5] == 1.0
+    assert np.isnan(summ.terminal_utilities[5]).all()
+    rec = summ.recorded[5]
+    assert rec.stopped and rec.tau == rec.times[-1] == 1.0
+    assert rec.utilities[-1].max() > -1e-6 * np.abs(rec.utilities[0]).min()
+    assert np.isnan(rec.weights[-1]).all() and np.isnan(rec.cash[-1])
+
+
 @settings(max_examples=8, deadline=None)
 @given(kind=st.sampled_from(["feedback", "schedule"]),
        t_switch=st.sampled_from([0.25, 0.5, 0.75]),
        after=st.floats(4.0, 40.0), log=st.booleans(), tanh=st.booleans(),
        seed=st.integers(0, 2**16))
+# noise seeds where a late switch in direct coordinates leaves paths that
+# Euler throws far below zero, and which complete
+@example(kind="feedback", t_switch=0.75, after=20.0, log=False, tanh=False,
+         seed=59)
+@example(kind="feedback", t_switch=0.75, after=20.0, log=False, tanh=False,
+         seed=908)
+@example(kind="feedback", t_switch=0.75, after=20.0, log=False, tanh=False,
+         seed=314)
 def test_flows_towards_explosion_stop_every_path_with_a_reason(
         kind, t_switch, after, log, tanh, seed):
     # a step-feedback or schedule flow raises the exposure at t_switch
     # until paths explode mid-run, where the warm-start predictor meets
     # its largest steps; each path still ends with a recorded reason, the
-    # same on one worker and two
+    # same on one worker and two.  At dt 2^-5 every path explodes once the
+    # exposure after the switch is 20 or more only for an early switch, or
+    # a mid-run one in log coordinates; after a late switch, or a mid-run
+    # one in direct coordinates, a few paths can complete
     flow = (step_feedback(t_switch, [0.5], [after]) if kind == "feedback"
             else ScheduleFlow([0.0, t_switch], [[0.5], [after]]))
     cfg = SimulationConfig(dt=2.0**-5, n_paths=6, seed=seed, quadrature_n=8,
@@ -381,7 +437,8 @@ def test_flows_towards_explosion_stop_every_path_with_a_reason(
         assert [r.stop_reason for r in summ.recorded] == \
             list(summ.stop_reasons)
     solo, split = runs
-    assert after < 20.0 or solo.n_completed == 0     # these all explode
+    if after >= 20.0 and (t_switch == 0.25 or (t_switch == 0.5 and log)):
+        assert solo.n_completed == 0                  # these all explode
     assert solo.stop_reasons == split.stop_reasons
     assert np.array_equal(solo.taus, split.taus, equal_nan=True)
     assert np.array_equal(solo.terminal_utilities, split.terminal_utilities,
