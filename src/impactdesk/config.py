@@ -16,8 +16,6 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from .market import LinearPayoff, MarketModel, NamedPayoff, market_model
 from .sde import ConstantFlow, ScheduleFlow, SimulationConfig, step_feedback
 from .utility import (AgentSet, SinSquareAversion, TanhAversion, agent_set,
@@ -92,6 +90,26 @@ def _parse_int(text: str, key: str, line=None) -> int:
 def _parse_floats(text: str, key: str, line=None) -> tuple:
     parts = [p for p in (s.strip() for s in text.split(",")) if p]
     return tuple(_parse_float(p, key, line) for p in parts)
+
+
+def _parse_eps(text: str, key: str, line=None) -> Optional[float]:
+    return None if text == "auto" else _parse_float(text, key, line)
+
+
+# [sim] scalars as (key, field, default, parser, fault, message); parsing
+# checks each fault at its key's line, an override without one
+_SIM_SCALARS = (
+    ("dt", "dt", "0.015625", _parse_float, lambda v: v <= 0,
+     "sim.dt must be positive"),
+    ("paths", "n_paths", "1", _parse_int, lambda v: v < 1,
+     "sim.paths must be at least 1"),
+    ("seed", "seed", "0", _parse_int, lambda v: v < 0,
+     "sim.seed must be nonnegative"),
+    ("eps", "eps", "auto", _parse_eps, lambda v: v is not None and v <= 0,
+     "sim.eps must be positive (or auto)"),
+    ("quadrature", "quadrature", "64", _parse_int,
+     lambda v: not 1 <= v <= 256, "sim.quadrature must lie in [1, 256]"),
+)
 
 
 def _parse_params(tokens, key: str, table, line=None):
@@ -400,29 +418,12 @@ def parse_config(text: str) -> ExperimentConfig:
             else:
                 flow_after = row
 
-    raw, ln = single("sim", "dt", "0.015625")
-    dt = _parse_float(raw, "sim.dt", ln)
-    if dt <= 0:
-        raise ConfigError("sim.dt must be positive", ln)
-    raw, ln = single("sim", "paths", "1")
-    n_paths = _parse_int(raw, "sim.paths", ln)
-    if n_paths < 1:
-        raise ConfigError("sim.paths must be at least 1", ln)
-    raw, ln = single("sim", "seed", "0")
-    seed = _parse_int(raw, "sim.seed", ln)
-    if seed < 0:
-        raise ConfigError("sim.seed must be nonnegative", ln)
-    raw, ln = single("sim", "eps", "auto")
-    if raw == "auto":
-        eps = None
-    else:
-        eps = _parse_float(raw, "sim.eps", ln)
-        if eps <= 0:
-            raise ConfigError("sim.eps must be positive (or auto)", ln)
-    raw, ln = single("sim", "quadrature", "64")
-    quadrature = _parse_int(raw, "sim.quadrature", ln)
-    if not 1 <= quadrature <= 256:
-        raise ConfigError("sim.quadrature must lie in [1, 256]", ln)
+    sim = {}
+    for key, field, default, parse, fault, message in _SIM_SCALARS:
+        raw, ln = single("sim", key, default)
+        sim[field] = parse(raw, f"sim.{key}", ln)
+        if fault(sim[field]):
+            raise ConfigError(message, ln)
     coordinates, ln = single("sim", "coordinates", "log")
     if coordinates not in ("log", "direct"):
         raise ConfigError(
@@ -461,27 +462,19 @@ def parse_config(text: str) -> ExperimentConfig:
         agents=tuple(agents), endowment=endowment, dividends=dividends,
         flow_kind=kind, flow_position=flow_position, flow_times=flow_times,
         flow_positions=flow_positions, flow_switch=flow_switch,
-        flow_before=flow_before, flow_after=flow_after, dt=dt,
-        n_paths=n_paths, seed=seed, eps=eps, quadrature=quadrature,
+        flow_before=flow_before, flow_after=flow_after,
         coordinates=coordinates, weights=weights, cash=cash,
         grid_times=grid_times, grid_levels=grid_levels,
-        output_paths=output_paths, precision=precision)
+        output_paths=output_paths, precision=precision, **sim)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig):
     """Cross-field checks that overrides can invalidate again."""
-    if cfg.dt <= 0:
-        raise ConfigError("sim.dt must be positive")
-    if cfg.n_paths < 1:
-        raise ConfigError("sim.paths must be at least 1")
-    if cfg.seed < 0:
-        raise ConfigError("sim.seed must be nonnegative")
-    if cfg.eps is not None and cfg.eps <= 0:
-        raise ConfigError("sim.eps must be positive (or auto)")
-    if not 1 <= cfg.quadrature <= 256:
-        raise ConfigError("sim.quadrature must lie in [1, 256]")
+    for _, field, _, _, fault, message in _SIM_SCALARS:
+        if fault(getattr(cfg, field)):
+            raise ConfigError(message)
     steps = 1.0 / cfg.dt
     if abs(round(steps) - steps) > 1e-9:
         raise ConfigError("sim.dt must divide the unit horizon evenly")

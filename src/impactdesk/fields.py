@@ -25,9 +25,10 @@ gradient at the conjugate point on the slope=1 slice.  Every Newton
 residual evaluates the integrand too, so the row comes from the
 evaluation that converged it, together with the cash marginal's
 volatility integrand_x / value_x, which `sde` uses to predict the next
-step's warm start.  `coefficient_rows` is the one conjugate entry, for
-`sde`, `conditions`, the `fields` command and the two raising wrappers
-`solve_conjugate` and `eval_sde_coefficient` alike.
+step's warm start.  `coefficient_rows` is the one conjugate entry and
+`ConjugatePoint` its one result, for `sde`, `conditions`, the `fields`
+command and the two raising wrappers `solve_conjugate` and
+`eval_sde_coefficient` alike.
 
 Faults are per row.  `field_core` flags a row that leaves double
 precision, or has a node with no sharing multiplier, in its `finite`
@@ -65,7 +66,8 @@ from typing import Optional
 import numpy as np
 
 from .market import MarketModel, malliavin_derivative, terminal_wealth
-from .pareto import harmonic_aversion, plane_rows, sharing_planes, unstack
+from .pareto import (WEIGHT_RATIO_LIMIT, harmonic_aversion, plane_rows,
+                     sharing_planes, unstack)
 from .quadrature import MAX_STABLE_ORDER, QuadratureRule, degenerate_rule
 from .utility import AgentSet
 
@@ -270,23 +272,34 @@ def normalize_weights(agents: AgentSet, model: MarketModel,
 
 @dataclass(frozen=True)
 class ConjugatePoint:
-    """Solved state where the field marginals hit prescribed targets.
+    """Solved states where the field marginals hit prescribed targets.
 
     weights solves value_v(weights, cash) = utilities with
-    value_x(weights, cash) = slope; value is cash*slope, the conjugate
-    transform of the field, and weights is its gradient in the
-    utilities argument.
+    value_x(weights, cash) = slope, one row per target state; value is
+    cash*slope, the conjugate transform of the field, and weights is its
+    gradient in the utilities argument.  coefficient is the weight
+    gradient of the martingale integrand at the solved state, and sigma
+    the cash marginal's volatility there, integrand_x / value_x.
+    weights, cash, coefficient and sigma are nan on rows that did not
+    converge.  level, utilities, slope and position are the checked,
+    broadcast targets.
     """
 
     t: float
-    level: np.ndarray
-    utilities: np.ndarray
-    slope: np.ndarray
-    position: np.ndarray
-    weights: np.ndarray
-    cash: np.ndarray
-    value: np.ndarray
-    iterations: int
+    level: np.ndarray         # (B,)
+    utilities: np.ndarray     # (B, M)
+    slope: np.ndarray         # (B,)
+    position: np.ndarray      # (B, J)
+    weights: np.ndarray       # (B, M)
+    cash: np.ndarray          # (B,)
+    coefficient: np.ndarray   # (B, M)
+    sigma: np.ndarray         # (B,)
+    converged: np.ndarray     # (B,) bool
+    iterations: int           # Newton steps the batch took
+
+    @property
+    def value(self):
+        return self.cash * self.slope
 
     def item(self) -> "ConjugatePoint":
         """Squeeze a batch of one down to scalar fields."""
@@ -294,7 +307,8 @@ class ConjugatePoint:
             t=self.t, level=float(self.level[0]),
             utilities=self.utilities[0], slope=float(self.slope[0]),
             position=self.position[0], weights=self.weights[0],
-            cash=float(self.cash[0]), value=float(self.value[0]),
+            cash=float(self.cash[0]), coefficient=self.coefficient[0],
+            sigma=float(self.sigma[0]), converged=bool(self.converged[0]),
             iterations=self.iterations)
 
 
@@ -312,26 +326,6 @@ def _targets(agents, model, level, utilities, slope, position):
     z = np.broadcast_to(z, (b,)) if z.shape[0] == 1 else z
     q = np.broadcast_to(q, (b, model.n_dividends)) if q.shape[0] == 1 else q
     return z, u, y, q
-
-
-@dataclass(frozen=True)
-class ConjugateRows:
-    """Per-row outcome of the batched conjugate solve.
-
-    coefficient is the weight gradient of the martingale integrand at
-    the solved state, and sigma the cash marginal's volatility there,
-    integrand_x / value_x.  weights, cash, coefficient and sigma are nan
-    on rows that did not converge.  targets holds the checked, broadcast
-    (level, utilities, slope, position) the rows were solved for.
-    """
-
-    weights: np.ndarray       # (B, M)
-    cash: np.ndarray          # (B,)
-    coefficient: np.ndarray   # (B, M)
-    sigma: np.ndarray         # (B,)
-    converged: np.ndarray     # (B,) bool
-    iterations: int           # Newton steps the batch took
-    targets: tuple
 
 
 class _MultiplierSeeds:
@@ -379,7 +373,7 @@ class _MultiplierSeeds:
 
 def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
                      position, warm=None, max_iter=100,
-                     tol=1e-10) -> ConjugateRows:
+                     tol=1e-10) -> ConjugatePoint:
     """Damped Newton in (log-weights, cash), one row per target state.
 
     The residual is log-scaled — log of the marginal ratios — which
@@ -389,8 +383,10 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     and sigma come from the evaluation that converged it.  A fault in one row —
     a non-finite start or field row, a non-finite or singular Jacobian —
     ends that row unconverged and leaves the others alone; a non-finite
-    line-search trial halves only its own row's step.  The targets come
-    checked and broadcast by `_targets`.
+    line-search trial halves only its own row's step.  A row solved to
+    weights that spread past `pareto.WEIGHT_RATIO_LIMIT`, which
+    `pareto.check_weights` refuses, also comes back unconverged.  The
+    targets come checked and broadcast by `_targets`.
     Each residual seeds the multiplier solve from the row's previous
     evaluation when some member's aversion varies (`_MultiplierSeeds`).
     """
@@ -495,19 +491,25 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
         logv[active] = trial_v
         cash[active] = trial_c
 
-    # an open row's log-weights may have run past exp's range
+    # weights spread past the ratio limit are degenerate; an open row's
+    # log-weights may have run past exp's range (inf - inf is nan)
+    with np.errstate(invalid="ignore"):
+        spread = logv.max(axis=1) - logv.min(axis=1)
+    converged &= spread <= math.log(WEIGHT_RATIO_LIMIT)
     weights = np.full((b, m), np.nan)
     weights[converged] = np.exp(logv[converged])
-    return ConjugateRows(
-        weights=weights, cash=np.where(converged, cash, np.nan),
-        coefficient=coef, sigma=sigma, converged=converged,
-        iterations=iterations, targets=(z, u, y, q))
+    return ConjugatePoint(
+        t=t, level=z, utilities=u, slope=y, position=q, weights=weights,
+        cash=np.where(converged, cash, np.nan),
+        coefficient=np.where(converged[:, None], coef, np.nan),
+        sigma=np.where(converged, sigma, np.nan), converged=converged,
+        iterations=iterations)
 
 
 def coefficient_rows(agents: AgentSet, model: MarketModel,
                      rule: QuadratureRule, t: float, level, utilities,
                      position, warm=None, max_iter: int = 100,
-                     tol: float = 1e-10, slope=1.0) -> ConjugateRows:
+                     tol: float = 1e-10, slope=1.0) -> ConjugatePoint:
     """Conjugate rows, one per state, with a mask; the one conjugate entry.
 
     Solves value_v = utilities, value_x = slope in one batch (slope one
@@ -521,26 +523,6 @@ def coefficient_rows(agents: AgentSet, model: MarketModel,
                             max_iter=max_iter, tol=tol)
 
 
-def _solve(agents, model, rule, t, level, utilities, slope, position,
-           warm=None, max_iter=100, tol=1e-10):
-    """Conjugate point and coefficient rows; raises unless every row
-    converges."""
-    res = coefficient_rows(agents, model, rule, t, level, utilities,
-                           position, warm, max_iter, tol, slope=slope)
-    if not res.converged.all():
-        bad = np.flatnonzero(~res.converged)
-        raise ConjugateInfeasibleError(
-            f"conjugate solve failed for {bad.size} of "
-            f"{res.converged.size} points at t={t:g} after "
-            f"{res.iterations} damped Newton steps",
-            indices=tuple(int(i) for i in bad))
-    z, u, y, q = res.targets
-    point = ConjugatePoint(t=t, level=z, utilities=u, slope=y, position=q,
-                           weights=res.weights, cash=res.cash,
-                           value=res.cash * y, iterations=res.iterations)
-    return point, res.coefficient
-
-
 def solve_conjugate(agents: AgentSet, model: MarketModel,
                     rule: QuadratureRule, t: float, level, utilities, slope,
                     position=None, warm=None, max_iter: int = 100,
@@ -551,8 +533,15 @@ def solve_conjugate(agents: AgentSet, model: MarketModel,
     the requested utility levels are unreachable at that state (for the
     dealer system this is how explosion shows up).
     """
-    point, _ = _solve(agents, model, rule, t, level, utilities, slope,
-                      position, warm, max_iter, tol)
+    point = coefficient_rows(agents, model, rule, t, level, utilities,
+                             position, warm, max_iter, tol, slope=slope)
+    if not point.converged.all():
+        bad = np.flatnonzero(~point.converged)
+        raise ConjugateInfeasibleError(
+            f"conjugate solve failed for {bad.size} of "
+            f"{point.converged.size} points at t={t:g} after "
+            f"{point.iterations} damped Newton steps",
+            indices=tuple(int(i) for i in bad))
     return point.item() if np.asarray(utilities).ndim <= 1 else point
 
 
@@ -566,8 +555,6 @@ def eval_sde_coefficient(agents: AgentSet, model: MarketModel,
     evaluation.  Returns (coefficient row(s), conjugate point) and
     raises ConjugateInfeasibleError when a row does not converge.
     """
-    point, coef = _solve(agents, model, rule, t, level, utilities, 1.0,
-                         position, warm)
-    if np.asarray(utilities).ndim <= 1:
-        return coef[0], point.item()
-    return coef, point
+    point = solve_conjugate(agents, model, rule, t, level, utilities, 1.0,
+                            position, warm)
+    return point.coefficient, point

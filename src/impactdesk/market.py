@@ -21,7 +21,6 @@ the estimates (an integral cannot be proven infinite numerically).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -61,6 +60,12 @@ class LinearPayoff:
         return abs(self.slope)
 
 
+def _grid_lipschitz(payoff, radius: float = 20.0) -> float:
+    """Largest |slope| on a 4001-point grid over [-radius, radius]."""
+    grid = np.linspace(-radius, radius, 4001)
+    return float(np.abs(payoff.derivative(grid)).max())
+
+
 _NAMED: dict[str, tuple[Callable, Callable, bool, bool]] = {
     # name -> (value, slope, bounded, slope_bounded)
     "sin": (np.sin, np.cos, True, True),
@@ -91,9 +96,7 @@ class NamedPayoff:
     def derivative(self, z):
         return self.scale * self._slope(np.asarray(z, dtype=float))
 
-    def lipschitz_constant(self, radius: float = 20.0) -> float:
-        grid = np.linspace(-radius, radius, 4001)
-        return float(np.abs(self.derivative(grid)).max())
+    lipschitz_constant = _grid_lipschitz
 
 
 class TablePayoff:
@@ -165,9 +168,7 @@ class CustomPayoff:
                 f"payoff {self.label!r} declares no slope")
         return np.asarray(self._slope(np.asarray(z, dtype=float)), dtype=float)
 
-    def lipschitz_constant(self, radius: float = 20.0) -> float:
-        grid = np.linspace(-radius, radius, 4001)
-        return float(np.abs(self.derivative(grid)).max())
+    lipschitz_constant = _grid_lipschitz
 
 
 ZERO_PAYOFF = LinearPayoff(0.0, 0.0)
@@ -266,33 +267,6 @@ def _log_moment_ladder(exponent_fn, rtol: float, orders: Sequence[int]):
                 return est, n, True, history
         prev = est
     return history[-1][1], history[-1][0], False, history
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """Stabilized (or not) nested-quadrature exponential moment."""
-
-    log_value: float
-    order: int
-    stabilized: bool
-    history: tuple
-
-    @property
-    def value(self) -> float:
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
-
-
-def exponential_moment(payoff, p: float, rtol: float = 1e-6,
-                       orders: Optional[Sequence[int]] = None) -> MomentEstimate:
-    """E[exp(p * payoff(Z))] for standard normal Z, by the nested ladder."""
-    orders = list(orders) if orders is not None else nested_orders()
-    log_est, order, ok, hist = _log_moment_ladder(
-        lambda z: p * payoff.value(z), rtol, orders)
-    return MomentEstimate(log_value=log_est, order=order, stabilized=ok,
-                          history=tuple(hist))
 
 
 @dataclass(frozen=True)

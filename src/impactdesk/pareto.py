@@ -375,14 +375,6 @@ class ParetoPoint:
     value_xxv: np.ndarray
 
 
-def solve_allocation(agents: AgentSet, v, x):
-    """Optimal split of x and the marginal value of aggregate wealth."""
-    v = np.asarray(v, dtype=float)
-    check_weights(v)
-    d = sharing_derivatives(agents, v, np.asarray(x, dtype=float), order=1)
-    return d["allocation"], d["multiplier"]
-
-
 def pareto_point(agents: AgentSet, v, x) -> ParetoPoint:
     """Full evaluation of the sharing value at scalar (v, x)."""
     v = np.asarray(v, dtype=float)

@@ -53,11 +53,13 @@ solve.  Step times are compared as floats, never rounded to a common
 clock, so each row steps at exactly the times a run of its level alone
 would.
 
-Brownian increments come from counter-based per-path streams keyed by
-(seed, absolute path index), and each path's coefficient row is
-computed as it would be alone, so results are reproducible, bit-for-bit
-independent of how paths are split across workers, and shareable
-between a simulation and its quadrature oracle.
+The entry points draw the noise: Brownian increments come from
+counter-based per-path streams keyed by (seed, absolute path index).
+The engine, `_run_chunk`, only takes them, as a ladder of (dt,
+increments) levels, and each path's coefficient row is computed as it
+would be alone, so results are reproducible, bit-for-bit independent of
+how paths are split across workers, and shareable between a simulation
+and its quadrature oracle.
 """
 
 from __future__ import annotations
@@ -65,14 +67,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .fields import coefficient_rows, field_core, normalize_weights
 from .market import MarketModel
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, degenerate_rule
 from .utility import AgentSet
 
 COMPLETED = "completed"
@@ -194,7 +196,6 @@ class SimulationConfig:
     explosion_eps: Optional[float] = None   # None -> 1e-6 * min |U0|
     quadrature_n: int = 64
     log_coordinates: bool = True
-    newton_max_iter: int = 100
     newton_tol: float = 1e-10
 
     def __post_init__(self):
@@ -349,23 +350,19 @@ def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _run_chunk(agents, model, flow, config: SimulationConfig,
-               initial: InitialState, first_path: int, n_paths: int,
-               record: int = 0,
-               ladder: Optional[Sequence[tuple]] = None) -> dict:
-    """Lockstep Euler over a contiguous block of path indices.
+               initial: InitialState, ladder: Sequence[tuple],
+               record: int = 0) -> dict:
+    """Lockstep Euler over a block of paths; the one engine.
 
     The noise is a `ladder` of (dt, increments) levels, each increments
-    of shape (n_paths, 1/dt); level i's paths are rows i*n_paths to
-    (i+1)*n_paths - 1, stepping at the level's dt, and the results come
-    back in that level-major order.  When None, it is one level at
-    config.dt drawn from config.seed; a given ladder sets every step
-    size.  Each pass steps the rows due at the earliest pending step
-    time (see the module docstring); stops record the row's own step
-    k_r and tau k_r * dt_r.
+    of shape (P, 1/dt) for the block's P paths; level i's paths are rows
+    i*P to (i+1)*P - 1, stepping at the level's dt, and the results come
+    back in that level-major order.  Each pass steps the rows due at the
+    earliest pending step time (see the module docstring); stops record
+    the row's own step k_r and tau k_r * dt_r.  The first `record` rows
+    keep a full trace.
     """
-    if ladder is None:
-        ladder = [(config.dt, brownian_increments(
-            config.seed, first_path, n_paths, config.n_steps, config.dt))]
+    n_paths = ladder[0][1].shape[0]
     steps = [int(round(1.0 / d)) for d, _ in ladder]
     for (_, inc), n in zip(ladder, steps):
         if inc.shape != (n_paths, n):
@@ -401,27 +398,32 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
     live = np.ones(p, dtype=bool)           # rows still stepping
 
     record = min(record, p)
-    if record:
-        tr_b = np.full((record, n_max + 1), np.nan)
-        tr_u = np.full((record, n_max + 1, nm), np.nan)
-        tr_w = np.full((record, n_max + 1, nm), np.nan)
-        tr_c = np.full((record, n_max + 1), np.nan)
-        tr_q = np.full((record, n_max + 1, nj), np.nan)
-        tr_last = n_steps[:record].copy()
+    tr_b = np.full((record, n_max + 1), np.nan)
+    tr_u = np.full((record, n_max + 1, nm), np.nan)
+    tr_w = np.full((record, n_max + 1, nm), np.nan)
+    tr_c = np.full((record, n_max + 1), np.nan)
+    tr_q = np.full((record, n_max + 1, nj), np.nan)
+
+    def write(idx, weights=None, cash=None):
+        """Trace rows idx at their own step; a stop row has no weights."""
+        sel = idx < record
+        if not sel.any():
+            return
+        rec = idx[sel]
+        kr = k[rec]
+        tr_b[rec, kr] = level[rec]
+        tr_u[rec, kr] = utilities[rec]
+        tr_q[rec, kr] = q_full[rec]
+        if weights is not None:
+            tr_w[rec, kr] = weights[sel]
+            tr_c[rec, kr] = cash[sel]
 
     def drop(idx, code):
         """Mark stopped rows at their own step, write their stop row."""
         taus[idx] = k[idx] * dt[idx]
         reasons[idx] = code
         live[idx] = False
-        if record:
-            rec = idx[idx < record]
-            if rec.size:
-                kr = k[rec]
-                tr_b[rec, kr] = level[rec]
-                tr_u[rec, kr] = utilities[rec]
-                tr_q[rec, kr] = q_full[rec]
-                tr_last[rec] = kr
+        write(idx)
 
     while True:
         active = np.flatnonzero(live)
@@ -448,8 +450,7 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
 
         rows = coefficient_rows(
             agents, model, rule, t, level[due], u_due, q_due,
-            warm=(warm_w[due], warm_c[due]),
-            max_iter=config.newton_max_iter, tol=config.newton_tol)
+            warm=(warm_w[due], warm_c[due]), tol=config.newton_tol)
         ok = rows.converged
         weights, cash, coeff, sigma = (rows.weights, rows.cash,
                                        rows.coefficient, rows.sigma)
@@ -462,17 +463,7 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
                                            sigma[ok])
             u_due = utilities[due]
         warm_c[due] = cash
-
-        if record:
-            mask = due < record
-            rec = due[mask]
-            if rec.size:
-                kr = k[rec]
-                tr_b[rec, kr] = level[rec]
-                tr_u[rec, kr] = utilities[rec]
-                tr_q[rec, kr] = q_full[rec]
-                tr_w[rec, kr] = weights[mask]
-                tr_c[rec, kr] = cash[mask]
+        write(due, weights, cash)
 
         h = dt[due]
         db = increments[due, k[due]]
@@ -506,33 +497,26 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
             drop(exploded, 1)
 
     stopped = reasons != 0
-    # terminal row for paths that ran the full horizon
-    if record:
-        rec = np.flatnonzero(~stopped[:record])
-        if rec.size:
-            q_term = np.asarray(flow.at(1.0, utilities[rec], level[rec]),
-                                dtype=float)
-            q_full[rec] = q_term
-            last = coefficient_rows(
-                agents, model, rule, 1.0, level[rec], utilities[rec], q_term,
-                warm=(warm_w[rec], warm_c[rec]),
-                max_iter=config.newton_max_iter, tol=config.newton_tol)
-            kr = n_steps[rec]
-            tr_w[rec, kr], tr_c[rec, kr] = last.weights, last.cash
-            tr_b[rec, kr] = level[rec]
-            tr_u[rec, kr] = utilities[rec]
-            tr_q[rec, kr] = q_term
+    # terminal row, at k_r = n_steps, for traced paths that ran the horizon
+    done = np.flatnonzero(~stopped[:record])
+    if done.size:
+        q_full[done] = flow.at(1.0, utilities[done], level[done])
+        last = coefficient_rows(
+            agents, model, rule, 1.0, level[done], utilities[done],
+            q_full[done], warm=(warm_w[done], warm_c[done]),
+            tol=config.newton_tol)
+        write(done, last.weights, last.cash)
 
     terminal = utilities.copy()
     terminal[stopped] = np.nan
 
     results = []
     for i in range(record):
-        last = tr_last[i]
+        end = k[i] + 1       # a row's trace ends at its own last step
         results.append(PathResult(
-            times=np.arange(last + 1) * dt[i], brownian=tr_b[i, :last + 1],
-            utilities=tr_u[i, :last + 1], weights=tr_w[i, :last + 1],
-            cash=tr_c[i, :last + 1], position=tr_q[i, :last + 1],
+            times=np.arange(end) * dt[i], brownian=tr_b[i, :end],
+            utilities=tr_u[i, :end], weights=tr_w[i, :end],
+            cash=tr_c[i, :end], position=tr_q[i, :end],
             stopped=bool(stopped[i]),
             tau=float(taus[i]) if stopped[i] else None,
             stop_reason=_REASONS[reasons[i]]))
@@ -549,15 +533,20 @@ def simulate_path(agents: AgentSet, model: MarketModel, flow,
                   path_index: int = 0,
                   increments: Optional[np.ndarray] = None) -> PathResult:
     """Run one path with a full trace."""
-    ladder = None if increments is None else [(config.dt, increments)]
-    chunk = _run_chunk(agents, model, flow, replace(config, n_paths=1),
-                       initial, first_path=path_index, n_paths=1, record=1,
-                       ladder=ladder)
+    if increments is None:
+        increments = brownian_increments(config.seed, path_index, 1,
+                                         config.n_steps, config.dt)
+    chunk = _run_chunk(agents, model, flow, config, initial,
+                       [(config.dt, increments)], record=1)
     return chunk["recorded"][0]
 
 
-def _worker(args):
-    return _run_chunk(*args)
+def _initial(agents, model, flow, config, weights, cash):
+    """The entries' starting state: unit weights unless given."""
+    rule = QuadratureRule.gauss_hermite(config.quadrature_n)
+    v0 = np.ones(agents.size) if weights is None else weights
+    return initial_state(agents, model, rule, v0, cash,
+                         flow.initial_position)
 
 
 def run_ensemble(agents: AgentSet, model: MarketModel, flow,
@@ -567,28 +556,25 @@ def run_ensemble(agents: AgentSet, model: MarketModel, flow,
 
     The worker count comes from the IMPACTDESK_WORKERS environment
     variable (default 1).  Increments are keyed by absolute path index
-    and chunks are merged back in path order, so the split cannot
-    change any number in the output.
+    and drawn once, each worker gets its block's rows, and blocks are
+    merged back in path order, so the split cannot change any number in
+    the output.
     """
-    rule = QuadratureRule.gauss_hermite(config.quadrature_n)
-    v0 = np.ones(agents.size) if weights is None else weights
-    init = initial_state(agents, model, rule, v0, cash, flow.initial_position)
+    init = _initial(agents, model, flow, config, weights, cash)
     p = config.n_paths
     workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
     workers = max(1, min(workers, p))
-
+    increments = brownian_increments(config.seed, 0, p, config.n_steps,
+                                     config.dt)
+    size = -(-p // workers)
+    jobs = [(agents, model, flow, config, init,
+             [(config.dt, increments[lo:lo + size])], max(0, record - lo))
+            for lo in range(0, p, size)]
     if workers == 1:
-        chunks = [_run_chunk(agents, model, flow, config, init, 0, p,
-                             record=record)]
+        chunks = [_run_chunk(*jobs[0])]
     else:
-        size = -(-p // workers)
-        jobs = []
-        for lo in range(0, p, size):
-            hi = min(lo + size, p)
-            jobs.append((agents, model, flow, config, init, lo, hi - lo,
-                         max(0, min(record - lo, hi - lo)), None))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_worker, jobs))
+            chunks = list(pool.map(_run_chunk, *zip(*jobs)))
 
     terminal = np.concatenate([c["terminal"] for c in chunks])
     reasons = tuple(r for c in chunks for r in c["reasons"])
@@ -607,35 +593,26 @@ def run_ensemble(agents: AgentSet, model: MarketModel, flow,
 
 def static_oracle(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
                   initial: InitialState, times, levels) -> np.ndarray:
-    """Utilities along one factor path for a frozen book.
+    """Utilities at (time, level) points for a frozen book.
 
     With the position held fixed, the field's weight marginals at the
-    frozen (weights, cash) solve the dealer system along the path —
-    they are martingales in the factor, and the simulated state is
+    frozen (weights, cash) solve the dealer system along any factor path
+    — they are martingales in the factor, and the simulated state is
     their value at the moving (t, B_t).  Evaluating them directly by
     quadrature gives a reference that never touches the Euler stepper.
+    The points that share a time are evaluated in one batch (at t = 1
+    the rule is not used); a row's bits do not depend on its batch.
     """
     times = np.asarray(times, dtype=float)
     levels = np.asarray(levels, dtype=float)
     out = np.empty((times.size, agents.size))
-    for i, (t, z) in enumerate(zip(times, levels)):
-        res = field_core(agents, model, rule, float(t), np.atleast_1d(z),
-                         initial.weights[None, :], [initial.cash],
-                         initial.position[None, :], order=1)
-        out[i] = res["value_v"][0]
+    for t in dict.fromkeys(times.tolist()):
+        rows = times == t
+        out[rows] = field_core(agents, model, rule, t, levels[rows],
+                               initial.weights[None, :], [initial.cash],
+                               initial.position[None, :],
+                               order=1)["value_v"]
     return out
-
-
-def static_oracle_terminal(agents: AgentSet, model: MarketModel,
-                           initial: InitialState, levels) -> np.ndarray:
-    """Terminal utilities for many paths at once (t = 1, no quadrature)."""
-    levels = np.asarray(levels, dtype=float)
-    rule = QuadratureRule.gauss_hermite(1)
-    res = field_core(agents, model, rule, 1.0, levels,
-                     np.tile(initial.weights, (levels.size, 1)),
-                     np.full(levels.size, initial.cash),
-                     np.tile(initial.position, (levels.size, 1)), order=1)
-    return res["value_v"]
 
 
 @dataclass(frozen=True)
@@ -685,16 +662,14 @@ def strong_error_study(agents: AgentSet, model: MarketModel, flow,
             raise ValueError(f"dt {d:g} is not a whole multiple of the "
                              f"finest dt {fine:g}")
     n_fine = int(round(1.0 / fine))
-    rule = QuadratureRule.gauss_hermite(config.quadrature_n)
-    v0 = np.ones(agents.size) if weights is None else weights
-    init = initial_state(agents, model, rule, v0, cash, flow.initial_position)
+    init = _initial(agents, model, flow, config, weights, cash)
     p = config.n_paths
     fine_inc = brownian_increments(config.seed, 0, p, n_fine, fine)
-    oracle = static_oracle_terminal(agents, model, init, fine_inc.sum(axis=1))
+    oracle = static_oracle(agents, model, degenerate_rule(), init,
+                           np.ones(p), fine_inc.sum(axis=1))
     ladder = [(d, coarsen_increments(fine_inc, int(round(d / fine))))
               for d in dts_desc]
-    chunk = _run_chunk(agents, model, flow, config, init, 0, p,
-                       ladder=ladder)
+    chunk = _run_chunk(agents, model, flow, config, init, ladder)
     errors, sim_means, completed = [], [], []
     all_done = np.ones(p, dtype=bool)
     for i in range(len(dts_desc)):

@@ -454,12 +454,6 @@ def risk_aversion(spec: UtilitySpec, x, order: int = 0) -> np.ndarray:
     return spec.aversion.derivatives(x, order)
 
 
-def risk_tolerance(spec: UtilitySpec, x, order: int = 0) -> np.ndarray:
-    """t(x) = 1/a(x) and derivatives, via the reciprocal recursion."""
-    a = risk_aversion(spec, x, order)
-    return _reciprocal_derivatives(a, order)
-
-
 def _reciprocal_derivatives(a: np.ndarray, order: int) -> np.ndarray:
     out = np.empty_like(a)
     out[0] = 1.0 / a[0]

@@ -429,12 +429,16 @@ _TARGET_ROWS = st.lists(
 @given(rows=_TARGET_ROWS, warm=st.booleans())
 @example(rows=[((-744.0, 0.0), 0.3, 0.2), ((-0.5, 0.3), 0.0, 0.5)],
          warm=True)
+@example(rows=[((-690.0, 0.0), 0.3, 0.2), ((-0.5, 0.3), 0.0, 0.5)],
+         warm=False)
 def test_coefficient_rows_at_extreme_targets(rows, warm):
-    # each row converges to finite numbers or comes back masked (nan),
-    # never raising or warning (RuntimeWarnings fail the suite), and its
-    # bits are those of its solo solve; the lockstep Euler relies on this.
-    # The example is a warm-started row whose log-weights run past exp's
-    # range before it is given up
+    # each row converges to finite weights within WEIGHT_RATIO_LIMIT, as
+    # `pareto.check_weights` demands, or comes back masked (nan), never
+    # raising or warning (RuntimeWarnings fail the suite), and its bits
+    # are those of its solo solve; the lockstep Euler relies on this.
+    # The first example is a warm-started row whose log-weights run past
+    # exp's range before it is given up; the second meets tol at weights
+    # (1.8e299, 0.5), which is no sharing rule
     u = -np.exp(np.array([r[0] for r in rows]))
     z = np.array([r[1] for r in rows])
     q = np.array([[r[2]] for r in rows])
@@ -446,6 +450,8 @@ def test_coefficient_rows_at_extreme_targets(rows, warm):
         values = [getattr(batch, key)[i] for key in ROW_KEYS[:-1]]
         if batch.converged[i]:
             assert all(np.isfinite(v).all() for v in values)
+            w = batch.weights[i]
+            assert w.max() / w.min() <= WEIGHT_RATIO_LIMIT
         else:
             assert all(np.isnan(v).all() for v in values)
         row = slice(i, i + 1)

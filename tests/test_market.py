@@ -12,12 +12,13 @@ from impactdesk.market import (
     NamedPayoff,
     TablePayoff,
     UnsupportedPayoffError,
+    _log_moment_ladder,
     check_integrability,
-    exponential_moment,
     malliavin_derivative,
     market_model,
     terminal_wealth,
 )
+from impactdesk.quadrature import nested_orders
 from impactdesk.utility import agent_set, exponential_utility
 
 PAIR = agent_set(exponential_utility(2.0), exponential_utility(2.0))
@@ -109,15 +110,19 @@ def test_lipschitz_constants():
     assert TablePayoff([0.0, 1.0, 2.0],
                        [0.0, 2.0, 1.0]).lipschitz_constant() == pytest.approx(2.0)
     assert NamedPayoff("sin").lipschitz_constant() == pytest.approx(1.0, abs=1e-6)
+    assert CustomPayoff(np.sin, np.cos).lipschitz_constant() == \
+        pytest.approx(1.0, abs=1e-6)
 
 
 def test_gaussian_moment_oracle():
-    # E[exp(p Z)] = exp(p^2 / 2)
-    est = exponential_moment(LinearPayoff(1.0), 1.0)
-    assert est.stabilized
-    assert est.value == pytest.approx(math.exp(0.5), rel=1e-8)
-    est = exponential_moment(LinearPayoff(2.0), 1.5)
-    assert est.value == pytest.approx(math.exp(4.5), rel=1e-8)
+    # E[exp(p Z)] = exp(p^2 / 2), from the nested ladder of log moments
+    for slope, p, log_exact in ((1.0, 1.0, 0.5), (2.0, 1.5, 4.5)):
+        payoff = LinearPayoff(slope)
+        log_est, _, stabilized, _ = _log_moment_ladder(
+            lambda z: p * payoff.value(z), 1e-6, nested_orders())
+        assert stabilized
+        assert math.exp(log_est) == pytest.approx(math.exp(log_exact),
+                                                  rel=1e-8)
 
 
 def test_bounded_payoffs_pass_every_mode_and_p():

@@ -14,7 +14,6 @@ from impactdesk.pareto import (
     harmonic_aversion,
     pareto_point,
     sharing_derivatives,
-    solve_allocation,
 )
 from impactdesk.utility import (
     TanhAversion,
@@ -60,9 +59,9 @@ def test_tilted_pair_frozen_values():
 
 def test_single_member_allocation():
     single = agent_set(exponential_utility(2.0))
-    alloc, lam = solve_allocation(single, [1.5], 0.7)
-    assert alloc[0] == pytest.approx(0.7, abs=1e-13)
-    assert lam == pytest.approx(1.5 * math.exp(-1.4), rel=1e-12)
+    p = pareto_point(single, [1.5], 0.7)
+    assert p.allocation[0] == pytest.approx(0.7, abs=1e-13)
+    assert p.multiplier == pytest.approx(1.5 * math.exp(-1.4), rel=1e-12)
 
 
 def test_harmonic_aversion_values():
@@ -205,7 +204,7 @@ def test_degenerate_weights_rejected():
     with pytest.raises(DegenerateWeightsError):
         pareto_point(EXP_PAIR, [1.0, 2e12], 0.0)
     with pytest.raises(DegenerateWeightsError):
-        solve_allocation(EXP_PAIR, [0.0, 1.0], 0.0)
+        pareto_point(EXP_PAIR, [0.0, 1.0], 0.0)
 
 
 def test_batched_shapes_match_scalar_path():

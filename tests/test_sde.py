@@ -21,7 +21,7 @@ from impactdesk.sde import (COMPLETED, EXPLOSION, INFEASIBLE, ConstantFlow,
                             SimulationConfig, brownian_increments,
                             coarsen_increments,
                             initial_state, run_ensemble, simulate_path,
-                            static_oracle, static_oracle_terminal,
+                            static_oracle,
                             step_feedback, strong_error_study)
 from impactdesk.utility import (TanhAversion, agent_set,
                                 build_from_risk_aversion, exponential_utility)
@@ -327,9 +327,18 @@ def test_static_oracle_matches_closed_form():
     oracle = static_oracle(EXP_PAIR, LIN, RULE, init, times, levels)
     closed = gbm_closed_form(init, times, levels)
     assert np.abs(oracle / closed - 1.0).max() <= 1e-12
-    term = static_oracle_terminal(EXP_PAIR, LIN, init, levels)
+    term = static_oracle(EXP_PAIR, LIN, RULE, init, np.ones_like(levels),
+                         levels)
     closed_term = gbm_closed_form(init, np.ones_like(levels), levels)
     assert np.abs(term / closed_term - 1.0).max() <= 1e-12
+    # points sharing a time form one batch, whatever the mix of times
+    mixed = np.concatenate([times, np.ones_like(levels), times[::-1]])
+    at = np.concatenate([levels, levels[::-1], levels])
+    batch = static_oracle(EXP_PAIR, LIN, RULE, init, mixed, at)
+    for i in range(mixed.size):
+        one = static_oracle(EXP_PAIR, LIN, RULE, init, mixed[i:i + 1],
+                            at[i:i + 1])
+        assert batch[i].tobytes() == one[0].tobytes()
 
 
 def test_martingale_mean_within_three_stderr():
@@ -499,23 +508,27 @@ def test_repeat_runs_identical():
 
 def test_worker_count_does_not_change_results(monkeypatch):
     # each worker solves its paths in batches of other sizes than a
-    # single worker does; 13 paths also split unevenly (7+6, 5+5+3)
+    # single worker does; 13 paths also split unevenly (7+6, 5+5+3), and
+    # 6 recorded paths of 13 straddle the first block edge at 3 workers
     for agents in (EXP_PAIR, TANH_MIX):
-        for n_paths, counts in ((12, ("3",)), (13, ("2", "3"))):
+        for n_paths, counts, record in ((12, ("3",), 3),
+                                        (13, ("2", "3"), 3),
+                                        (13, ("3",), 6)):
             cfg = SimulationConfig(dt=2.0**-4, n_paths=n_paths, seed=42,
                                    quadrature_n=8)
             monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
             solo = run_ensemble(agents, LIN, HALF_FLOW, cfg, cash=1.5,
-                                record=3)
+                                record=record)
             for workers in counts:
                 monkeypatch.setenv("IMPACTDESK_WORKERS", workers)
                 split = run_ensemble(agents, LIN, HALF_FLOW, cfg, cash=1.5,
-                                     record=3)
+                                     record=record)
                 assert np.array_equal(solo.terminal_utilities,
                                       split.terminal_utilities)
                 assert solo.stop_reasons == split.stop_reasons
-                assert len(split.recorded) == 3
+                assert len(split.recorded) == record
                 for ra, rb in zip(solo.recorded, split.recorded):
+                    assert np.array_equal(ra.brownian, rb.brownian)
                     assert np.array_equal(ra.utilities, rb.utilities)
                     assert np.array_equal(ra.weights, rb.weights)
                     assert np.array_equal(ra.position, rb.position)
@@ -533,14 +546,14 @@ def _ladder_alone(agents, flow, cfg, dts):
     fine = min(dts)
     n_fine = int(round(1.0 / fine))
     fine_inc = brownian_increments(cfg.seed, 0, cfg.n_paths, n_fine, fine)
-    oracle = static_oracle_terminal(agents, LIN, init, fine_inc.sum(axis=1))
+    oracle = static_oracle(agents, LIN, RULE, init, np.ones(cfg.n_paths),
+                           fine_inc.sum(axis=1))
     ladder, chunks = [], []
     for d in sorted(dts, reverse=True):
         inc = coarsen_increments(fine_inc, int(round(d / fine)))
         ladder.append((d, inc))
         chunks.append(sde._run_chunk(agents, LIN, flow, replace(cfg, dt=d),
-                                     init, 0, cfg.n_paths,
-                                     ladder=[(d, inc)]))
+                                     init, [(d, inc)]))
     errors, means, completed = [], [], []
     all_done = np.ones(cfg.n_paths, dtype=bool)
     for chunk in chunks:
@@ -575,8 +588,7 @@ def test_lockstep_ladder_matches_each_level_run_alone(monkeypatch, agents,
         return solve(agents, model, rule, t, *args, **kwargs)
 
     monkeypatch.setattr(sde, "coefficient_rows", counted)
-    lock = sde._run_chunk(agents, LIN, flow, cfg, init, 0, cfg.n_paths,
-                          ladder=ladder)
+    lock = sde._run_chunk(agents, LIN, flow, cfg, init, ladder)
     # one solve per distinct step time, compared as floats: on [0.2, 1/15]
     # 3 * 0.2 = 0.6000000000000001 and 9 * (1/15) = 0.6 are two solves
     steps = sorted({k * d for d, inc in ladder for k in range(inc.shape[1])})

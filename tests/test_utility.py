@@ -13,6 +13,7 @@ from impactdesk.utility import (
     SinSquareAversion,
     TanhAversion,
     UnsupportedOrderError,
+    _reciprocal_derivatives,
     agent_set,
     build_from_risk_aversion,
     check_smoothness,
@@ -21,7 +22,6 @@ from impactdesk.utility import (
     inverse_log_marginal,
     log_marginal,
     risk_aversion,
-    risk_tolerance,
     utility_value,
 )
 
@@ -141,7 +141,7 @@ def test_inverse_log_marginal_round_trip():
 
 def test_risk_tolerance_recursion():
     a, a1, a2 = risk_aversion(TANH, 0.7, 2)
-    t = risk_tolerance(TANH, 0.7, 2)
+    t = _reciprocal_derivatives(risk_aversion(TANH, 0.7, 2), 2)
     assert t[0] == pytest.approx(1.0 / a)
     assert t[1] == pytest.approx(-a1 / a**2)
     assert t[2] == pytest.approx((2 * a1**2 - a * a2) / a**3)
