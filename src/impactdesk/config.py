@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -99,14 +100,15 @@ def _parse_eps(text: str, key: str, line=None) -> Optional[float]:
 # [sim] scalars as (key, field, default, parser, fault, message); parsing
 # checks each fault at its key's line, an override without one
 _SIM_SCALARS = (
-    ("dt", "dt", "0.015625", _parse_float, lambda v: v <= 0,
-     "sim.dt must be positive"),
+    ("dt", "dt", "0.015625", _parse_float, lambda v: not 0 < v < math.inf,
+     "sim.dt must be positive and finite"),
     ("paths", "n_paths", "1", _parse_int, lambda v: v < 1,
      "sim.paths must be at least 1"),
     ("seed", "seed", "0", _parse_int, lambda v: v < 0,
      "sim.seed must be nonnegative"),
-    ("eps", "eps", "auto", _parse_eps, lambda v: v is not None and v <= 0,
-     "sim.eps must be positive (or auto)"),
+    ("eps", "eps", "auto", _parse_eps,
+     lambda v: v is not None and not 0 < v < math.inf,
+     "sim.eps must be positive and finite (or auto)"),
     ("quadrature", "quadrature", "64", _parse_int,
      lambda v: not 1 <= v <= 256, "sim.quadrature must lie in [1, 256]"),
 )
@@ -435,10 +437,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if len(weights) != n_members:
         raise ConfigError(
             f"sim.weights needs {n_members} entries, got {len(weights)}", ln)
-    if any(w <= 0 for w in weights):
-        raise ConfigError("sim.weights must all be positive", ln)
+    if any(not 0 < w < math.inf for w in weights):
+        raise ConfigError("sim.weights must all be positive and finite", ln)
     raw, ln = single("sim", "cash", "0.0")
     cash = _parse_float(raw, "sim.cash", ln)
+    if not math.isfinite(cash):
+        raise ConfigError("sim.cash must be finite", ln)
 
     raw, ln = single("grid", "times", "0.0,0.5,1.0")
     grid_times = _parse_floats(raw, "grid.times", ln)

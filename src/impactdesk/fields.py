@@ -24,11 +24,11 @@ The SDE coefficient row for the dealer system is the integrand's weight
 gradient at the conjugate point on the slope=1 slice.  Every Newton
 residual evaluates the integrand too, so the row comes from the
 evaluation that converged it, together with the cash marginal's
-volatility integrand_x / value_x, which `sde` uses to predict the next
-step's warm start.  `coefficient_rows` is the one conjugate entry and
-`ConjugatePoint` its one result, for `sde`, `conditions`, the `fields`
-command and the two raising wrappers `solve_conjugate` and
-`eval_sde_coefficient` alike.
+volatility integrand_x / value_x and the Newton Jacobian there, which
+`sde` uses to predict the next step's warm start.  `coefficient_rows`
+is the one conjugate entry and `ConjugatePoint` its one result, for
+`sde`, `conditions`, the `fields` command and the two raising wrappers
+`solve_conjugate` and `eval_sde_coefficient` alike.
 
 Faults are per row.  `field_core` flags a row that leaves double
 precision, or has a node with no sharing multiplier, in its `finite`
@@ -280,9 +280,12 @@ class ConjugatePoint:
     gradient in the utilities argument.  coefficient is the weight
     gradient of the martingale integrand at the solved state, and sigma
     the cash marginal's volatility there, integrand_x / value_x.
-    weights, cash, coefficient and sigma are nan on rows that did not
-    converge.  level, utilities, slope and position are the checked,
-    broadcast targets.
+    jacobian is the Newton Jacobian of the log-scaled residual
+    (log(-value_v), log(value_x)) in (log-weights, cash) at the
+    evaluation that converged the row, which `sde` uses as a tangent
+    predictor for the next step.  weights, cash, coefficient, sigma and
+    jacobian are nan on rows that did not converge.  level, utilities,
+    slope and position are the checked, broadcast targets.
     """
 
     t: float
@@ -294,6 +297,7 @@ class ConjugatePoint:
     cash: np.ndarray          # (B,)
     coefficient: np.ndarray   # (B, M)
     sigma: np.ndarray         # (B,)
+    jacobian: np.ndarray      # (B, M+1, M+1)
     converged: np.ndarray     # (B,) bool
     iterations: int           # Newton steps the batch took
 
@@ -308,7 +312,8 @@ class ConjugatePoint:
             utilities=self.utilities[0], slope=float(self.slope[0]),
             position=self.position[0], weights=self.weights[0],
             cash=float(self.cash[0]), coefficient=self.coefficient[0],
-            sigma=float(self.sigma[0]), converged=bool(self.converged[0]),
+            sigma=float(self.sigma[0]), jacobian=self.jacobian[0],
+            converged=bool(self.converged[0]),
             iterations=self.iterations)
 
 
@@ -371,6 +376,42 @@ class _MultiplierSeeds:
         self.share[:, rows] = share
 
 
+def _jacobian(logv, out) -> np.ndarray:
+    """(B, M+1, M+1) Jacobian of the conjugate residual at one evaluation.
+
+    Rows are the log-scaled residuals log(-value_v) and log(value_x),
+    columns the log-weights and cash, all read off the evaluation's
+    order-2 outputs at log-weights logv.  Each entry is formed along the
+    batch, where `field_core`'s partials are contiguous, and the result
+    is a view of that (M+1, M+1, B) layout.  Elementwise, so a row's
+    bits do not depend on its batch.
+    """
+    b, m = logv.shape
+    jac = np.empty((m + 1, m + 1, b))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = np.exp(logv.T)
+        fv, xv, fx = out["value_v"].T, out["value_xv"].T, out["value_x"]
+        jac[:m, :m] = v * out["value_vv"].transpose(1, 2, 0) / fv[:, None]
+        jac[:m, m] = xv / fv
+        jac[m, :m] = v * xv / fx
+        jac[m, m] = out["value_xx"] / fx
+    return jac.transpose(2, 0, 1)
+
+
+def solve_rows(jac, rhs):
+    """Solve jac x = rhs row by row where jac is finite and non-singular.
+
+    jac (B, N, N), rhs (B, N).  Returns (x, ok): x is nan on the rows
+    outside the mask ok.  LAPACK solves each row's system on its own, so
+    a row's bits do not depend on its batch.
+    """
+    ok = np.isfinite(jac).all(axis=(1, 2))
+    ok[ok] = np.linalg.slogdet(jac[ok])[0] != 0
+    x = np.full(rhs.shape, np.nan)
+    x[ok] = np.linalg.solve(jac[ok], rhs[ok, :, None])[:, :, 0]
+    return x, ok
+
+
 def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
                      position, warm=None, max_iter=100,
                      tol=1e-10) -> ConjugatePoint:
@@ -379,11 +420,12 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     The residual is log-scaled — log of the marginal ratios — which
     makes the tolerance meaningful across many orders of magnitude of
     utility levels and keeps weights positive by construction.  Every
-    residual evaluation carries the integrand, so a row's coefficient
-    and sigma come from the evaluation that converged it.  A fault in one row —
-    a non-finite start or field row, a non-finite or singular Jacobian —
-    ends that row unconverged and leaves the others alone; a non-finite
-    line-search trial halves only its own row's step.  A row solved to
+    residual evaluation carries the integrand, so a row's coefficient,
+    sigma and Jacobian come from the evaluation that converged it.  A
+    fault in one row — a non-finite start or field row, a non-finite or
+    singular Jacobian — ends that row unconverged and leaves the others
+    alone; a non-finite line-search trial halves only its own row's
+    step.  A row solved to
     weights that spread past `pareto.WEIGHT_RATIO_LIMIT`, which
     `pareto.check_weights` refuses, also comes back unconverged.  The
     targets come checked and broadcast by `_targets`.
@@ -433,48 +475,37 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
                 axis=1)
         return out, rho
 
-    coef = np.full((b, m), np.nan)
-    sigma = np.full(b, np.nan)
-    converged = np.zeros(b, dtype=bool)
     active = np.flatnonzero(np.isfinite(logv).all(axis=1) & np.isfinite(cash))
     if active.size:
         out, rho = residual(active, logv[active], cash[active])
+    # the results are allocated after the first evaluation, whose share
+    # planes set the memory peak of a solve that converges at its start
+    coef = np.full((b, m), np.nan)
+    sigma = np.full(b, np.nan)
+    jacobian = np.empty((b, m + 1, m + 1))
+    converged = np.zeros(b, dtype=bool)
     iterations = 0      # Newton steps taken, capped at max_iter
     while active.size:
         norm = np.abs(rho).max(axis=1)
         done = norm <= tol
+        jac = _jacobian(logv[active], out)
+        jacobian[active] = jac      # a row keeps the one it converges at
         if done.any():
             hit = active[done]
             coef[hit] = out["integrand_v"][done]
             sigma[hit] = out["integrand_x"][done] / out["value_x"][done]
             converged[hit] = True
         # open rows go on unless their residual is non-finite (a NaN
-        # norm is never done); only they get a Jacobian
+        # norm is never done); one whose Jacobian is non-finite or
+        # singular ends here
         go = ~done & np.isfinite(norm)
         if not go.any() or iterations == max_iter:
             break
-        active, rho, norm = active[go], rho[go], norm[go]
-        if not go.all():
-            out = {key: out[key][go] for key in
-                   ("value_v", "value_x", "value_vv", "value_xv", "value_xx")}
-
-        jac = np.empty((active.size, m + 1, m + 1))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vv = np.exp(logv[active])
-            jac[:, :m, :m] = vv[:, None, :] * out["value_vv"] \
-                / out["value_v"][:, :, None]
-            jac[:, :m, m] = out["value_xv"] / out["value_v"]
-            jac[:, m, :m] = vv * out["value_xv"] / out["value_x"][:, None]
-            jac[:, m, m] = out["value_xx"] / out["value_x"]
-        # a row whose Jacobian is non-finite or singular ends here
-        go = np.isfinite(jac).all(axis=(1, 2))
-        if go.any():
-            go[go] = np.linalg.slogdet(jac[go])[0] != 0
-        active, rho, norm, jac = active[go], rho[go], norm[go], jac[go]
+        step, ok = solve_rows(jac[go], -rho[go])
+        active, norm, step = active[go][ok], norm[go][ok], step[ok]
         if not active.size:
             break
         iterations += 1
-        step = np.linalg.solve(jac, -rho[:, :, None])[:, :, 0]
 
         alpha = np.ones(active.size)
         start_v, start_c = logv[active], cash[active]
@@ -496,14 +527,16 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     with np.errstate(invalid="ignore"):
         spread = logv.max(axis=1) - logv.min(axis=1)
     converged &= spread <= math.log(WEIGHT_RATIO_LIMIT)
+    jacobian[~converged] = np.nan
     weights = np.full((b, m), np.nan)
     weights[converged] = np.exp(logv[converged])
     return ConjugatePoint(
         t=t, level=z, utilities=u, slope=y, position=q, weights=weights,
         cash=np.where(converged, cash, np.nan),
         coefficient=np.where(converged[:, None], coef, np.nan),
-        sigma=np.where(converged, sigma, np.nan), converged=converged,
-        iterations=iterations)
+        sigma=np.where(converged, sigma, np.nan),
+        jacobian=jacobian,
+        converged=converged, iterations=iterations)
 
 
 def coefficient_rows(agents: AgentSet, model: MarketModel,

@@ -28,11 +28,24 @@ integrand_x / value_x, and after the Euler step the warm weights are
 
     weights * exp(sigma^2 dt / 2 - sigma dB),
 
-with the warm cash left as solved.  On constant-aversion desks with
-linear payoffs value_x is lognormal in the factor and the log-Euler
-step of U is exact, so the predicted point solves the next step's
-system to round-off and the solve needs one field evaluation; on other
-desks the predictor is first-order and the Newton corrects it.
+with the warm cash left as solved.  This guess moves value_v by the
+log-Euler step; in log coordinates that is the step taken, so on
+constant-aversion desks with linear payoffs, where value_x is lognormal
+in the factor and the log-Euler step of U is exact, the predicted point
+solves the next step's system to round-off and the solve needs one
+field evaluation.  A direct step lands elsewhere, short of value_v's
+move by the residual
+
+    drho_v = log(-U_k) + A dB - A^2 dt / 2 - log(-U_{k+1}),
+
+known in closed form, so there an Euler-Newton tangent predictor
+(Allgower & Georg, Numerical Continuation Methods, 1990, ch. 2) moves
+the warm (log-weights, cash) by -J^{-1} [drho_v, 0], with J the
+residual's Jacobian at the solved point, which the solve reports; on
+the same desks one field evaluation per step again suffices.  A row
+whose Jacobian is unusable, or whose corrected point leaves the
+positive finite range, keeps the ray guess.  On other desks the
+predictor is first-order and the Newton corrects it.
 
 A path ends in one of three ways, recorded per path rather than
 raised: it reaches the horizon (completed); some component climbs
@@ -72,7 +85,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import coefficient_rows, field_core, normalize_weights
+from .fields import (coefficient_rows, field_core, normalize_weights,
+                     solve_rows)
 from .market import MarketModel
 from .quadrature import QuadratureRule, degenerate_rule
 from .utility import AgentSet
@@ -349,6 +363,27 @@ def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:
 # engine
 
 
+def _tangent_predictor(weights, cash, jacobian, drho):
+    """Correct a warm (weights, cash) for a residual move drho in value_v.
+
+    One Newton step from the solved point's own Jacobian, -J^{-1} [drho,
+    0], taken in (log-weights, cash).  The Jacobian is homogeneous of
+    degree 0 in the weights, so it holds on the weight ray the guess was
+    moved along.  A row whose Jacobian is non-finite or singular, or
+    whose corrected point leaves the positive finite range, keeps its
+    guess.
+    """
+    m = weights.shape[1]
+    rhs = np.zeros((cash.size, m + 1))
+    rhs[:, :m] = -drho
+    step, ok = solve_rows(jacobian, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = weights * np.exp(step[:, :m])
+        c = cash + step[:, m]
+    ok &= ((w > 0.0) & (w < np.inf)).all(axis=1) & np.isfinite(c)
+    return np.where(ok[:, None], w, weights), np.where(ok, c, cash)
+
+
 def _run_chunk(agents, model, flow, config: SimulationConfig,
                initial: InitialState, ladder: Sequence[tuple],
                record: int = 0) -> dict:
@@ -452,24 +487,25 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
             agents, model, rule, t, level[due], u_due, q_due,
             warm=(warm_w[due], warm_c[due]), tol=config.newton_tol)
         ok = rows.converged
-        weights, cash, coeff, sigma = (rows.weights, rows.cash,
-                                       rows.coefficient, rows.sigma)
+        weights, cash, coeff, sigma, jac = (rows.weights, rows.cash,
+                                            rows.coefficient, rows.sigma,
+                                            rows.jacobian)
         if not ok.all():
             drop(due[~ok], 2)
             due = due[ok]
             if due.size == 0:
                 continue
-            weights, cash, coeff, sigma = (weights[ok], cash[ok], coeff[ok],
-                                           sigma[ok])
+            weights, cash, coeff, sigma, jac = (weights[ok], cash[ok],
+                                                coeff[ok], sigma[ok], jac[ok])
             u_due = utilities[due]
-        warm_c[due] = cash
         write(due, weights, cash)
 
         h = dt[due]
         db = increments[due, k[due]]
+        vol = coeff / u_due
+        log_step = vol * db[:, None] - 0.5 * vol**2 * h[:, None]
         if config.log_coordinates:
-            vol = coeff / u_due
-            log_u[due] += vol * db[:, None] - 0.5 * vol**2 * h[:, None]
+            log_u[due] += log_step
             utilities[due] = -np.exp(log_u[due])
         else:
             nxt = u_due + coeff * db[:, None]
@@ -486,7 +522,14 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             guess = weights * np.exp(0.5 * sigma**2 * h - sigma * db)[:, None]
         fine = ((guess > 0.0) & (guess < np.inf)).all(axis=1)
-        warm_w[due] = np.where(fine[:, None], guess, weights)
+        guess = np.where(fine[:, None], guess, weights)
+        if not config.log_coordinates:
+            # the guess moved value_v by the log step, off the direct
+            # step's target by drho; correct it along the tangent
+            drho = np.log(-u_due) + log_step - np.log(-nxt)
+            guess, cash = _tangent_predictor(guess, cash, jac, drho)
+        warm_w[due] = guess
+        warm_c[due] = cash
         k[due] += 1
         live[due] = k[due] < n_steps[due]
         # a row whose last step ends past the threshold has no next step

@@ -226,3 +226,23 @@ def test_override_replaces_and_revalidates():
         cfg.override(dt=0.3)
     with pytest.raises(ConfigError, match="sim.paths"):
         cfg.override(paths=0)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dt", "nan"), ("dt", "inf"), ("eps", "nan"), ("eps", "inf"),
+    ("cash", "nan"), ("cash", "-inf"), ("weights", "nan,1"),
+    ("weights", "1,inf")])
+def test_non_finite_sim_numbers_name_the_key_and_line(key, value):
+    # the key sits after MINIMAL, a blank line and the [sim] header
+    line = MINIMAL.count("\n") + 3
+    with pytest.raises(ConfigError, match=rf"line {line}: sim\.{key} "):
+        parse_config(MINIMAL + f"\n[sim]\n{key} = {value}\n")
+
+
+def test_non_finite_override_names_the_key():
+    cfg = parse_config(MINIMAL)
+    for kwargs in ({"dt": float("nan")}, {"dt": float("inf")},
+                   {"eps": float("nan")}):
+        key = next(iter(kwargs))
+        with pytest.raises(ConfigError, match=rf"^sim\.{key} must be"):
+            cfg.override(**kwargs)

@@ -212,11 +212,12 @@ def test_gbm_log_euler_exact():
 
 def test_conjugate_solves_seed_their_multiplier_solves(monkeypatch):
     # on a tanh desk each conjugate residual after a row's first seeds
-    # the multiplier solve from the row's last evaluation, so a small
-    # direct-coordinate strong-error study takes at most 2.5 multiplier
-    # residual evaluations (table inverses per member) per sharing call;
-    # cold seeds take 4
-    calls, sharing = [0], [0]
+    # the multiplier solve from the row's last evaluation; in a small
+    # direct-coordinate strong-error study the seeded sharing calls take
+    # at most 2 multiplier residual evaluations (table inverses) per
+    # member, the unseeded ones at most 3
+    calls = [0]
+    per_member = {True: [], False: []}     # by whether the call is seeded
     inverse, planes = pareto.inverse_log_marginal, fields.sharing_planes
 
     def counted_inverse(spec, w):
@@ -224,8 +225,11 @@ def test_conjugate_solves_seed_their_multiplier_solves(monkeypatch):
         return inverse(spec, w)
 
     def counted_planes(*args, **kwargs):
-        sharing[0] += 1
-        return planes(*args, **kwargs)
+        before = calls[0]
+        out = planes(*args, **kwargs)
+        per_member[kwargs.get("seed") is not None].append(
+            (calls[0] - before) / TANH_MIX.size)
+        return out
 
     monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
     monkeypatch.setattr(pareto, "inverse_log_marginal", counted_inverse)
@@ -235,15 +239,15 @@ def test_conjugate_solves_seed_their_multiplier_solves(monkeypatch):
                            log_coordinates=False, newton_tol=1e-7)
     study = strong_error_study(TANH_MIX, LIN, HALF_FLOW, cfg, dts, cash=1.5)
     assert study.n_completed == (4, 4, 4)
-    assert calls[0] <= 2.5 * TANH_MIX.size * sharing[0]
+    assert per_member[True] and per_member[False]
+    assert np.mean(per_member[True]) <= 2.0
+    assert np.mean(per_member[False]) <= 3.0
 
 
-def test_warm_start_predictor_needs_one_field_evaluation_per_step(
-        monkeypatch):
-    # on the exponential pair with linear payoffs the cash marginal is
-    # lognormal and the log-Euler step exact, so the predicted warm point
-    # already solves each step's conjugate system to tolerance: one field
-    # evaluation and no Newton step
+def _solve_counts(monkeypatch, agents, log_coordinates):
+    """Field evaluations and Newton steps of each step's conjugate solve
+    over 20 paths of 32 steps on the linear market; the counting patches
+    are undone on return, so the helper can run again."""
     solve, evaluate = fields._conjugate_batch, fields.field_core
     residuals, per_solve, iterations = [0], [], []
 
@@ -261,11 +265,38 @@ def test_warm_start_predictor_needs_one_field_evaluation_per_step(
     monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
     monkeypatch.setattr(fields, "_conjugate_batch", counted_solve)
     monkeypatch.setattr(fields, "field_core", counted_eval)
-    cfg = SimulationConfig(dt=2.0**-5, n_paths=20, seed=17, quadrature_n=64)
-    summ = run_ensemble(EXP_PAIR, LIN, HALF_FLOW, cfg, cash=1.5)
+    cfg = SimulationConfig(dt=2.0**-5, n_paths=20, seed=17, quadrature_n=64,
+                           log_coordinates=log_coordinates)
+    summ = run_ensemble(agents, LIN, HALF_FLOW, cfg, cash=1.5)
+    monkeypatch.undo()
     assert summ.n_completed == 20
-    assert per_solve == [1] * cfg.n_steps
-    assert iterations == [0] * cfg.n_steps
+    return per_solve, iterations
+
+
+def test_warm_start_predictor_needs_one_field_evaluation_per_step(
+        monkeypatch):
+    # on the exponential pair with linear payoffs the cash marginal is
+    # lognormal and the log-Euler step exact, so the predicted warm point
+    # already solves each step's conjugate system to tolerance: one field
+    # evaluation and no Newton step
+    per_solve, iterations = _solve_counts(monkeypatch, EXP_PAIR, True)
+    assert per_solve == [1] * 32
+    assert iterations == [0] * 32
+
+
+def test_tangent_predictor_needs_one_field_evaluation_per_direct_step(
+        monkeypatch):
+    # in direct coordinates the step misses value_v's lognormal move by a
+    # known amount; the tangent correction closes it with the solved
+    # point's Jacobian, so the exponential pair again needs one field
+    # evaluation and no Newton step, and the tanh desk no more
+    # evaluations per step than in log coordinates
+    per_solve, iterations = _solve_counts(monkeypatch, EXP_PAIR, False)
+    assert per_solve == [1] * 32
+    assert iterations == [0] * 32
+    direct = np.mean(_solve_counts(monkeypatch, TANH_MIX, False)[0])
+    log = np.mean(_solve_counts(monkeypatch, TANH_MIX, True)[0])
+    assert direct <= log
 
 
 def test_predictor_out_of_range_keeps_the_solved_weights(monkeypatch):
@@ -279,6 +310,28 @@ def test_predictor_out_of_range_keeps_the_solved_weights(monkeypatch):
     for sigma in (0.0, 1e300):
         monkeypatch.setattr(fields, "_conjugate_batch", lambda *a, **k: replace(
             solve(*a, **k), sigma=np.full(np.shape(a[5])[0], sigma)))
+        runs.append(run_ensemble(TANH_MIX, LIN, HALF_FLOW, cfg, cash=1.5,
+                                 record=3))
+    assert runs[0].n_completed == runs[1].n_completed == 3
+    for ra, rb in zip(runs[0].recorded, runs[1].recorded):
+        assert ra.weights.tobytes() == rb.weights.tobytes()
+
+
+def test_unusable_jacobian_keeps_the_ray_guess(monkeypatch):
+    # a non-finite or singular Jacobian gives no tangent correction: both
+    # leave the direct-coordinate warm start on the weight ray, so the
+    # runs solve from the same guesses to the same bits
+    solve = fields._conjugate_batch
+    monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+    cfg = SimulationConfig(dt=2.0**-3, n_paths=3, seed=9, quadrature_n=16,
+                           log_coordinates=False)
+    runs = []
+    for fill in (np.nan, 0.0):
+        def unusable(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            return replace(res, jacobian=np.full_like(res.jacobian, fill))
+
+        monkeypatch.setattr(fields, "_conjugate_batch", unusable)
         runs.append(run_ensemble(TANH_MIX, LIN, HALF_FLOW, cfg, cash=1.5,
                                  record=3))
     assert runs[0].n_completed == runs[1].n_completed == 3
@@ -510,12 +563,13 @@ def test_worker_count_does_not_change_results(monkeypatch):
     # each worker solves its paths in batches of other sizes than a
     # single worker does; 13 paths also split unevenly (7+6, 5+5+3), and
     # 6 recorded paths of 13 straddle the first block edge at 3 workers
-    for agents in (EXP_PAIR, TANH_MIX):
+    for agents, log in ((EXP_PAIR, True), (TANH_MIX, True),
+                        (TANH_MIX, False)):
         for n_paths, counts, record in ((12, ("3",), 3),
                                         (13, ("2", "3"), 3),
                                         (13, ("3",), 6)):
             cfg = SimulationConfig(dt=2.0**-4, n_paths=n_paths, seed=42,
-                                   quadrature_n=8)
+                                   quadrature_n=8, log_coordinates=log)
             monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
             solo = run_ensemble(agents, LIN, HALF_FLOW, cfg, cash=1.5,
                                 record=record)
