@@ -12,6 +12,7 @@ hex digits of the echo's SHA-256 tag every output file a run writes.
 from __future__ import annotations
 
 import difflib
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -104,8 +105,8 @@ _SIM_SCALARS = (
      "sim.dt must be positive and finite"),
     ("paths", "n_paths", "1", _parse_int, lambda v: v < 1,
      "sim.paths must be at least 1"),
-    ("seed", "seed", "0", _parse_int, lambda v: v < 0,
-     "sim.seed must be nonnegative"),
+    ("seed", "seed", "0", _parse_int, lambda v: not 0 <= v < 2**64,
+     "sim.seed must lie in [0, 2**64)"),
     ("eps", "eps", "auto", _parse_eps,
      lambda v: v is not None and not 0 < v < math.inf,
      "sim.eps must be positive and finite (or auto)"),
@@ -146,6 +147,30 @@ def _parse_params(tokens, key: str, table, line=None):
                        if n in seen)
 
 
+@functools.lru_cache(maxsize=1)
+def _build_agent_set(agents: tuple) -> AgentSet:
+    """The agent set of a config's `agents` entry.
+
+    The last one built is kept, so parsing, an override and the run that
+    follows share one build of each member's utility tables.
+    """
+    members = []
+    for family, params in agents:
+        p = dict(params)
+        if family == "exponential":
+            members.append(exponential_utility(p["aversion"],
+                                               c_bound=p.get("c")))
+        elif family == "tanh":
+            members.append(build_from_risk_aversion(
+                TanhAversion(p["base"], p["amplitude"], p["scale"]),
+                c_bound=p["c"]))
+        else:
+            members.append(build_from_risk_aversion(
+                SinSquareAversion(p["base"], p["amplitude"], p["scale"]),
+                c_bound=p["c"]))
+    return agent_set(*members)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully resolved experiment: plain values only, builders attached."""
@@ -182,21 +207,7 @@ class ExperimentConfig:
         return len(self.dividends)
 
     def build_agents(self) -> AgentSet:
-        members = []
-        for family, params in self.agents:
-            p = dict(params)
-            if family == "exponential":
-                members.append(exponential_utility(p["aversion"],
-                                                   c_bound=p.get("c")))
-            elif family == "tanh":
-                members.append(build_from_risk_aversion(
-                    TanhAversion(p["base"], p["amplitude"], p["scale"]),
-                    c_bound=p["c"]))
-            else:
-                members.append(build_from_risk_aversion(
-                    SinSquareAversion(p["base"], p["amplitude"], p["scale"]),
-                    c_bound=p["c"]))
-        return agent_set(*members)
+        return _build_agent_set(self.agents)
 
     def build_model(self) -> MarketModel:
         def payoff(spec):

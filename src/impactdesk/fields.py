@@ -39,9 +39,12 @@ and `normalize_weights` raise FieldRangeError themselves.
 Within one conjugate solve a row moves only its weights and cash, so
 each residual can predict the multiplier at every node from the row's
 last evaluation (line-search trials included) and seed the multiplier
-solve with it (`_MultiplierSeeds`); with the multiplier's Halley step
-this takes the tanh desk's multiplier solve from 4 residual evaluations
-per call to about 2.2.  Constant-aversion desks skip it: the multiplier's
+solve with it: `field_core(seed=...)` returns the multiplier state it
+solved, the solve keeps the last residual's rows, log-weights, cash and
+state as they are, and `pareto.predict_log_multiplier` steps that state
+to the next residual's point.  With the multiplier's Halley step this
+takes the tanh desk's multiplier solve from 4 residual evaluations per
+call to about 2.2.  Constant-aversion desks skip it: the multiplier's
 closed-form seed is already exact there, and keeping the state would
 only cost memory.
 
@@ -67,11 +70,13 @@ import numpy as np
 
 from .market import MarketModel, malliavin_derivative, terminal_wealth
 from .pareto import (WEIGHT_RATIO_LIMIT, harmonic_aversion, plane_rows,
-                     sharing_planes, unstack)
+                     predict_log_multiplier, sharing_planes, unstack)
 from .quadrature import MAX_STABLE_ORDER, QuadratureRule, degenerate_rule
 from .utility import AgentSet
 
 DEFAULT_ORDER = 64
+_LOG_RATIO_LIMIT = math.log(WEIGHT_RATIO_LIMIT)
+ADAPTIVE_RTOL = 1e-9    # eval_field's stabilization test without a rule
 
 
 class FieldRangeError(RuntimeError):
@@ -122,7 +127,7 @@ def _batched(z, v, x, q, n_members: int, n_dividends: int):
 
 def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
                t: float, level, weights, cash, position=None, order: int = 2,
-               with_integrand: bool = False, _multiplier=None) -> dict:
+               with_integrand: bool = False, seed=None) -> dict:
     """Batched field evaluation; the engine behind every public entry.
 
     level (B,), weights (B,M), cash (B,), position (B,J); scalars
@@ -132,10 +137,15 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
     marginal stayed inside double precision.  A row outside it is
     reported there, never raised, so it cannot stop the rest of the batch.
 
-    `_multiplier` is private to the conjugate solve: a dict whose "seed"
-    (None or (B, n)) starts the multiplier solve at each node, and into
-    which the second-order evaluation puts the "state" (l, t_m / T, T)
-    it solved, see `_MultiplierSeeds`.  It leaves the returned keys alone.
+    seed, if given, starts the multiplier solve at each node: a starting
+    log-multiplier broadcastable to (B, n), whose NaN entries start from
+    the closed-form seed, as an unseeded call does everywhere.  A seeded
+    call, which must be of order 2 or carry the integrand, also returns
+    the multiplier state it solved,
+    (log_multiplier, tolerance_share, tolerance) of
+    `pareto.sharing_planes`, under "multiplier_state", for
+    `pareto.predict_log_multiplier` to seed a nearby call with.  An
+    unseeded call keeps no node-sized array in its result.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("time must lie in [0, 1]")
@@ -149,15 +159,13 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
     wealth = terminal_wealth(model, x, q, nodes)
 
     need = max(order, 2 if with_integrand else order)
-    if _multiplier is None:
-        stack = sharing_planes(agents, v[:, None, :], wealth,
-                               order=need)["stack"]           # (K, B, n)
-    else:
-        planes = sharing_planes(agents, v[:, None, :], wealth, order=need,
-                                seed=_multiplier["seed"])
-        stack = planes["stack"]
-        _multiplier["state"] = (planes["log_multiplier"],
-                                planes["tolerance_share"], planes["tolerance"])
+    planes = sharing_planes(agents, v[:, None, :], wealth, order=need,
+                            seed=seed)
+    stack = planes["stack"]                                   # (K, B, n)
+    if seed is not None:
+        state = (planes["log_multiplier"], planes["tolerance_share"],
+                 planes["tolerance"])
+    del planes      # the allocations go before the sums
 
     # each plane is summed along its own contiguous row of nodes, in an
     # order fixed by the node count, so a row's sums are the same bits
@@ -179,6 +187,8 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
         out["integrand_x"] = sums[-1]
 
     out["finite"] = np.isfinite(out["value"]) & np.isfinite(out["value_x"])
+    if seed is not None:
+        out["multiplier_state"] = state
     return out
 
 
@@ -205,12 +215,12 @@ class FieldPoint:
 def eval_field(agents: AgentSet, model: MarketModel, t: float, level: float,
                weights, cash: float, position=None, order: int = 2,
                rule: Optional[QuadratureRule] = None,
-               with_integrand: bool = False, rtol: float = 1e-9) -> FieldPoint:
+               with_integrand: bool = False) -> FieldPoint:
     """Field at a single state.
 
     With an explicit rule the integral is taken as given; with
     rule=None the order doubles from the default until the value
-    stabilizes to rtol (or the stable construction cap is hit).
+    stabilizes to ADAPTIVE_RTOL (or the stable construction cap is hit).
     """
     if rule is None:
         n = DEFAULT_ORDER
@@ -222,7 +232,7 @@ def eval_field(agents: AgentSet, model: MarketModel, t: float, level: float,
                              with_integrand=with_integrand)
             _require_finite(out, t)
             if prev is not None and abs(out["value"][0] - prev) <= \
-                    rtol * abs(out["value"][0]):
+                    ADAPTIVE_RTOL * abs(out["value"][0]):
                 break
             prev = out["value"][0]
             if n >= MAX_STABLE_ORDER:
@@ -333,49 +343,6 @@ def _targets(agents, model, level, utilities, slope, position):
     return z, u, y, q
 
 
-class _MultiplierSeeds:
-    """Each conjugate row's multiplier state at its last field evaluation.
-
-    Within one conjugate solve a row's level, position and time are
-    fixed, so a move of its log-weights by dlog v and of its cash by
-    dcash moves every node's wealth by dcash, and the first-order
-    conditions predict each node's log-multiplier to first order:
-
-        l + (sum_m t_m dlog v_m - dcash) / T.
-
-    The state (l, t_m / T, T) and the (log-weights, cash) it was taken at
-    are kept per row, so a row's seed depends on its own evaluations
-    only.  A row not yet evaluated seeds NaN, which the multiplier solve
-    takes as no seed.
-    """
-
-    def __init__(self, b: int, m: int):
-        self.logv = np.full((b, m), np.nan)
-        self.cash = np.full(b, np.nan)
-        self.l = self.share = self.big_t = None
-
-    def predict(self, rows, logv, cash):
-        if self.l is None:
-            return None
-        with np.errstate(over="ignore", invalid="ignore"):
-            dv = logv - self.logv[rows]
-            seed = self.l[rows] - ((cash - self.cash[rows])[:, None]
-                                   / self.big_t[rows])
-            for k, share in enumerate(self.share):
-                seed += share[rows] * dv[:, k, None]
-        return seed
-
-    def keep(self, rows, logv, cash, state):
-        l, share, big_t = state
-        if self.l is None:
-            b = self.cash.size
-            self.l, self.big_t = np.full((2, b) + l.shape[1:], np.nan)
-            self.share = np.full((len(share), b) + l.shape[1:], np.nan)
-        self.logv[rows], self.cash[rows] = logv, cash
-        self.l[rows], self.big_t[rows] = l, big_t
-        self.share[:, rows] = share
-
-
 def _jacobian(logv, out) -> np.ndarray:
     """(B, M+1, M+1) Jacobian of the conjugate residual at one evaluation.
 
@@ -420,17 +387,20 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     The residual is log-scaled — log of the marginal ratios — which
     makes the tolerance meaningful across many orders of magnitude of
     utility levels and keeps weights positive by construction.  Every
-    residual evaluation carries the integrand, so a row's coefficient,
-    sigma and Jacobian come from the evaluation that converged it.  A
-    fault in one row — a non-finite start or field row, a non-finite or
-    singular Jacobian — ends that row unconverged and leaves the others
-    alone; a non-finite line-search trial halves only its own row's
-    step.  A row solved to
+    residual evaluation carries the integrand, so a row's weights, cash,
+    coefficient, sigma and Jacobian are written once, from the
+    evaluation that converged it.  A fault in one row — a non-finite
+    start or field row, a non-finite or singular Jacobian — ends that
+    row unconverged and leaves the others alone; a non-finite
+    line-search trial halves only its own row's step.  A row solved to
     weights that spread past `pareto.WEIGHT_RATIO_LIMIT`, which
     `pareto.check_weights` refuses, also comes back unconverged.  The
     targets come checked and broadcast by `_targets`.
-    Each residual seeds the multiplier solve from the row's previous
-    evaluation when some member's aversion varies (`_MultiplierSeeds`).
+
+    When some member's aversion varies, each residual after the first
+    seeds the multiplier solve from the last residual's evaluation (see
+    the module docstring).  A residual's rows are an in-order subset of
+    the last one's, so `np.searchsorted` finds each row's last state.
     """
     z, u, y, q = level, utilities, slope, position
     b, m = u.shape
@@ -454,20 +424,23 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
             cash[rows] = (np.log(probe["value_x"] / y[rows])
                           / harmonic_aversion(a0))
 
-    seeds = None if agents.all_exponential else _MultiplierSeeds(b, m)
+    seeded = not agents.all_exponential
+    last = None     # rows, log-weights, cash and state of the last residual
 
     def residual(rows, logv_r, cash_r):
-        with np.errstate(over="ignore"):
+        nonlocal last
+        seed = np.nan if seeded else None     # NaN: no seed at any node
+        with np.errstate(over="ignore", invalid="ignore"):
             v = np.exp(logv_r)
-        if seeds is None:
-            out = field_core(agents, model, rule, t, z[rows], v, cash_r,
-                             q[rows], order=2, with_integrand=True)
-        else:
-            mult = {"seed": seeds.predict(rows, logv_r, cash_r)}
-            out = field_core(agents, model, rule, t, z[rows], v, cash_r,
-                             q[rows], order=2, with_integrand=True,
-                             _multiplier=mult)
-            seeds.keep(rows, logv_r, cash_r, mult["state"])
+            if last is not None:
+                last_rows, last_v, last_c, state = last
+                at = np.searchsorted(last_rows, rows)
+                seed = predict_log_multiplier(state, at, logv_r - last_v[at],
+                                              cash_r - last_c[at])
+        out = field_core(agents, model, rule, t, z[rows], v, cash_r,
+                         q[rows], order=2, with_integrand=True, seed=seed)
+        if seeded:
+            last = (rows, logv_r, cash_r, out["multiplier_state"])
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = np.concatenate(
                 [np.log(-out["value_v"]) - np.log(-u[rows]),
@@ -480,21 +453,31 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
         out, rho = residual(active, logv[active], cash[active])
     # the results are allocated after the first evaluation, whose share
     # planes set the memory peak of a solve that converges at its start
+    weights = np.full((b, m), np.nan)
+    solved_cash = np.full(b, np.nan)
     coef = np.full((b, m), np.nan)
     sigma = np.full(b, np.nan)
-    jacobian = np.empty((b, m + 1, m + 1))
+    jacobian = np.full((b, m + 1, m + 1), np.nan)
     converged = np.zeros(b, dtype=bool)
     iterations = 0      # Newton steps taken, capped at max_iter
     while active.size:
         norm = np.abs(rho).max(axis=1)
         done = norm <= tol
         jac = _jacobian(logv[active], out)
-        jacobian[active] = jac      # a row keeps the one it converges at
         if done.any():
-            hit = active[done]
-            coef[hit] = out["integrand_v"][done]
-            sigma[hit] = out["integrand_x"][done] / out["value_x"][done]
-            converged[hit] = True
+            # a done row is written here, once, unless its weights spread
+            # past the ratio limit, where they are degenerate
+            hit = np.flatnonzero(done)
+            lv = logv[active[hit]]
+            fine = lv.max(axis=1) - lv.min(axis=1) <= _LOG_RATIO_LIMIT
+            hit, lv = hit[fine], lv[fine]
+            rows = active[hit]
+            weights[rows] = np.exp(lv)
+            solved_cash[rows] = cash[rows]
+            coef[rows] = out["integrand_v"][hit]
+            sigma[rows] = out["integrand_x"][hit] / out["value_x"][hit]
+            jacobian[rows] = jac[hit]
+            converged[rows] = True
         # open rows go on unless their residual is non-finite (a NaN
         # norm is never done); one whose Jacobian is non-finite or
         # singular ends here
@@ -522,20 +505,9 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
         logv[active] = trial_v
         cash[active] = trial_c
 
-    # weights spread past the ratio limit are degenerate; an open row's
-    # log-weights may have run past exp's range (inf - inf is nan)
-    with np.errstate(invalid="ignore"):
-        spread = logv.max(axis=1) - logv.min(axis=1)
-    converged &= spread <= math.log(WEIGHT_RATIO_LIMIT)
-    jacobian[~converged] = np.nan
-    weights = np.full((b, m), np.nan)
-    weights[converged] = np.exp(logv[converged])
     return ConjugatePoint(
         t=t, level=z, utilities=u, slope=y, position=q, weights=weights,
-        cash=np.where(converged, cash, np.nan),
-        coefficient=np.where(converged[:, None], coef, np.nan),
-        sigma=np.where(converged, sigma, np.nan),
-        jacobian=jacobian,
+        cash=solved_cash, coefficient=coef, sigma=sigma, jacobian=jacobian,
         converged=converged, iterations=iterations)
 
 

@@ -56,13 +56,16 @@ class LinearPayoff:
     def derivative(self, z):
         return np.full_like(np.asarray(z, dtype=float), self.slope)
 
-    def lipschitz_constant(self, radius: float = 20.0) -> float:
+    def lipschitz_constant(self) -> float:
         return abs(self.slope)
 
 
-def _grid_lipschitz(payoff, radius: float = 20.0) -> float:
-    """Largest |slope| on a 4001-point grid over [-radius, radius]."""
-    grid = np.linspace(-radius, radius, 4001)
+LIPSCHITZ_RADIUS = 20.0
+
+
+def _grid_lipschitz(payoff) -> float:
+    """Largest |slope| on a 4001-point grid over +-LIPSCHITZ_RADIUS."""
+    grid = np.linspace(-LIPSCHITZ_RADIUS, LIPSCHITZ_RADIUS, 4001)
     return float(np.abs(payoff.derivative(grid)).max())
 
 
@@ -143,7 +146,7 @@ class TablePayoff:
         idx = np.clip(idx, 0, self.slopes.size - 1)
         return self.slopes[idx]
 
-    def lipschitz_constant(self, radius: float = 20.0) -> float:
+    def lipschitz_constant(self) -> float:
         return float(np.abs(self.slopes).max())
 
 
@@ -245,6 +248,7 @@ def malliavin_derivative(model: MarketModel, z):
 # exponential moments and integrability verdicts
 
 MODES = ("value", "baseline", "exponential", "strong")
+MOMENT_RTOL = 1e-6
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -298,8 +302,7 @@ class IntegrabilityReport:
 
 def check_integrability(model: MarketModel, agents: AgentSet,
                         p_values: Sequence[float] = (1.0, 2.0, 4.0),
-                        mode: str = "baseline",
-                        rtol: float = 1e-6) -> IntegrabilityReport:
+                        mode: str = "baseline") -> IntegrabilityReport:
     """Estimate the exponential moments a given wellposedness regime needs.
 
     Every regime requires E[exp(p|f(Z)| + kappa * h(g(Z)))] < infinity,
@@ -321,11 +324,11 @@ def check_integrability(model: MarketModel, agents: AgentSet,
     sign patterns (and an on/off factor for the endowment part); the sum
     of the resulting smooth terms is finite exactly when the original
     moment is.  Each term runs the nested ladder; PASS means every term
-    stabilized (successive change of log estimate <= rtol), otherwise
+    stabilized (successive change of log estimate <= MOMENT_RTOL), otherwise
     the growth is reported as DIVERGENT.  Terms built entirely from
     payoffs that declare themselves bounded are finite by construction
     and PASS outright even if oscillation keeps the capped ladder from
-    resolving the value to rtol.
+    resolving the value to MOMENT_RTOL.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -359,7 +362,7 @@ def check_integrability(model: MarketModel, agents: AgentSet,
                 term_bounded = (kg == 0.0 or model.endowment.bounded) and \
                     all(p.bounded or p_f == 0.0 for p in model.dividends)
                 log_est, order, ok, _ = _log_moment_ladder(
-                    exponent, rtol, ladder)
+                    exponent, MOMENT_RTOL, ladder)
                 term_logs.append(log_est)
                 all_ok = all_ok and (ok or term_bounded)
                 top_order = max(top_order, order)

@@ -15,10 +15,12 @@ constant aversion.  The aversion band [1/c, c] bounds the slope of the
 aggregate response away from zero and infinity, which yields an
 a-priori bracket around any initial guess.  Each point starts from the
 constant-aversion seed, which is exact when every member is exponential,
-or from a per-point seed its caller predicts: `fields` carries each
-conjugate row's multiplier state from one field evaluation to the next
-(see `sharing_planes`), which starts points on desks whose aversion
-varies much closer to their roots.
+or from a per-point seed its caller predicts: `sharing_planes` returns
+the multiplier state (l, t_m / T, T) it solved, and
+`predict_log_multiplier` steps that state to first order to nearby
+weights and wealth, which on desks whose aversion varies starts points
+much closer to their roots (`fields` seeds each conjugate residual from
+the row's last evaluation this way).
 Only the points left open by the first residual get brackets, and
 points that meet their tolerance are frozen while the rest iterate, so
 each point's result is the same whatever batch it is solved in; a point
@@ -280,7 +282,7 @@ def sharing_planes(agents: AgentSet, v: np.ndarray, x: np.ndarray,
     log_multiplier, allocation (a list of M planes) and stack, and for
     order >= 2 also tolerance_share (the M factors t_m / T) and tolerance
     (T): with log_multiplier they predict the multiplier at nearby
-    weights and wealth (see `fields`).
+    weights and wealth (see `predict_log_multiplier`).
     """
     members = agents.members
     nm = len(members)
@@ -326,6 +328,30 @@ def sharing_planes(agents: AgentSet, v: np.ndarray, x: np.ndarray,
     if order >= 2:
         out["tolerance_share"], out["tolerance"] = share, big_t
     return out
+
+
+@_quiet
+def predict_log_multiplier(state, rows, dlogv, dx):
+    """First-order log-multiplier after a move of the weights and wealth.
+
+    state is (log_multiplier, tolerance_share, tolerance) as
+    `sharing_planes` returns them at order 2 for points with one weight
+    row per row of points, on a desk where some member's aversion varies
+    (so every entry is an array over the points); rows picks the rows to
+    predict.  The first-order conditions move each point's log-multiplier
+    by the log-weight move dlogv (R, M) of its row and the wealth move
+    dx (R,) shared by its row's points to
+
+        l + sum_m (t_m / T) dlogv_m - dx / T,
+
+    the first-order continuation step (Allgower & Georg, Numerical
+    Continuation Methods, 1990, ch. 2).
+    """
+    l, share, big_t = state
+    seed = l[rows] - dx[:, None] / big_t[rows]
+    for m, s in enumerate(share):
+        seed += s[rows] * dlogv[:, m, None]
+    return seed
 
 
 def sharing_derivatives(agents: AgentSet, v: np.ndarray, x: np.ndarray,

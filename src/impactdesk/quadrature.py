@@ -20,6 +20,7 @@ from numpy.polynomial.hermite_e import hermegauss
 # nodes come back NaN.  Rules above this order are refused rather than
 # silently wrong.
 MAX_STABLE_ORDER = 256
+NESTED_START = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +72,12 @@ def degenerate_rule() -> QuadratureRule:
     return _DEGENERATE
 
 
-def nested_orders(n_start: int = 32, n_max: int = MAX_STABLE_ORDER) -> list[int]:
-    """Doubling ladder of node counts for stabilization checks."""
+def nested_orders() -> list[int]:
+    """Doubling ladder of node counts for stabilization checks, from
+    NESTED_START up to MAX_STABLE_ORDER."""
     orders = []
-    n = max(1, int(n_start))
-    while n <= n_max:
+    n = NESTED_START
+    while n <= MAX_STABLE_ORDER:
         orders.append(n)
         n *= 2
     return orders

@@ -220,6 +220,8 @@ class SimulationConfig:
             raise ValueError("dt must divide the unit horizon evenly")
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
         if self.explosion_eps is not None and not self.explosion_eps > 0:
             raise ValueError("explosion_eps must be positive")
         if self.quadrature_n < 1:
@@ -490,13 +492,14 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
         weights, cash, coeff, sigma, jac = (rows.weights, rows.cash,
                                             rows.coefficient, rows.sigma,
                                             rows.jacobian)
+        del rows
         if not ok.all():
             drop(due[~ok], 2)
             due = due[ok]
-            if due.size == 0:
-                continue
             weights, cash, coeff, sigma, jac = (weights[ok], cash[ok],
                                                 coeff[ok], sigma[ok], jac[ok])
+            if due.size == 0:
+                continue
             u_due = utilities[due]
         write(due, weights, cash)
 
@@ -530,6 +533,9 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
             guess, cash = _tangent_predictor(guess, cash, jac, drho)
         warm_w[due] = guess
         warm_c[due] = cash
+        # the warm arrays carry all the next step needs: release the
+        # solve's rows before the next solve's field evaluations
+        del weights, cash, coeff, sigma, jac, guess
         k[due] += 1
         live[due] = k[due] < n_steps[due]
         # a row whose last step ends past the threshold has no next step

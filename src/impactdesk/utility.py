@@ -152,6 +152,11 @@ class SinSquareAversion:
 
 _GL_X, _GL_W = leggauss(7)
 
+# the table grid spans [-TABLE_HALFWIDTH, TABLE_HALFWIDTH] in steps of
+# TABLE_STEP; utility values are tabulated up to TABLE_TAIL_CUTOFF and
+# continued by their asymptotic tail beyond it
+TABLE_HALFWIDTH, TABLE_STEP, TABLE_TAIL_CUTOFF = 120.0, 0.0025, 40.0
+
 
 def _power_cells(x_nodes, h, y, slope):
     """Cubic Hermite cells through (x_nodes, y) with slopes dy/dx, as a
@@ -252,9 +257,10 @@ class _Tables:
         return val
 
 
-def _build_tables(aversion, halfwidth: float, step: float, tail_cutoff: float) -> _Tables:
-    n_cells = int(round(2 * halfwidth / step))
-    x_nodes = -halfwidth + step * np.arange(n_cells + 1)
+def _build_tables(aversion) -> _Tables:
+    step = TABLE_STEP
+    n_cells = int(round(2 * TABLE_HALFWIDTH / step))
+    x_nodes = -TABLE_HALFWIDTH + step * np.arange(n_cells + 1)
     # composite 7-point Gauss-Legendre accumulation of I(x) = int_0^x a,
     # each cell over the width its rounded nodes give it
     mid = 0.5 * (x_nodes[:-1] + x_nodes[1:])
@@ -268,7 +274,7 @@ def _build_tables(aversion, halfwidth: float, step: float, tail_cutoff: float) -
     a_nodes = aversion.derivatives(x_nodes, 0)[0]
 
     # utility values: integrate u' = exp(-I) downward from the tail cutoff
-    n_tail = int(round((tail_cutoff - x_nodes[0]) / step))
+    n_tail = int(round((TABLE_TAIL_CUTOFF - x_nodes[0]) / step))
     tbl = _Tables(x0=x_nodes[0], h=step, x_nodes=x_nodes, i_nodes=i_nodes,
                   a_nodes=a_nodes, u_nodes=np.empty(0), n_tail=n_tail,
                   tail_cutoff=x_nodes[n_tail])
@@ -310,9 +316,8 @@ def exponential_utility(a: float, c_bound: float | None = None,
                        max_derivative_order=max_order, coefficient=float(a))
 
 
-def build_from_risk_aversion(aversion, c_bound: float, max_order: int = 6,
-                             halfwidth: float = 120.0, step: float = 0.0025,
-                             tail_cutoff: float = 40.0) -> UtilitySpec:
+def build_from_risk_aversion(aversion, c_bound: float,
+                             max_order: int = 6) -> UtilitySpec:
     """Reconstruct a utility from its absolute risk aversion profile.
 
     The profile is validated against [1/c_bound, c_bound] on the table grid;
@@ -325,7 +330,7 @@ def build_from_risk_aversion(aversion, c_bound: float, max_order: int = 6,
     if max_order > avail:
         raise UnsupportedOrderError(
             f"profile supports utility derivatives up to order {avail}")
-    tables = _build_tables(aversion, halfwidth, step, tail_cutoff)
+    tables = _build_tables(aversion)
     slack = 1e-9 * c
     if tables.a_nodes.min() < 1.0 / c - slack or tables.a_nodes.max() > c + slack:
         raise InvalidRiskAversionError(
@@ -469,6 +474,11 @@ def _reciprocal_derivatives(a: np.ndarray, order: int) -> np.ndarray:
 # smoothness diagnostics
 
 
+SMOOTHNESS_RADII = (10.0, 20.0, 40.0)
+SMOOTHNESS_STEP = 1e-3
+SMOOTHNESS_RTOL = 1e-3
+
+
 @dataclass(eq=False)
 class SmoothnessReport:
     """Suprema of aversion (and risk-tolerance) derivatives on nested radii."""
@@ -489,16 +499,15 @@ class SmoothnessReport:
         return float(self.aversion_sup[member, k - 1, -1])
 
 
-def check_smoothness(agents: AgentSet, order: int,
-                     radii: tuple[float, ...] = (10.0, 20.0, 40.0),
-                     step: float = 1e-3,
-                     stabilization_rtol: float = 1e-3) -> SmoothnessReport:
+def check_smoothness(agents: AgentSet, order: int) -> SmoothnessReport:
     """Grid suprema of |a^(k)|, k = 1..order, over nested symmetric windows.
 
-    A member is flagged as growing when the suprema keep increasing from one
-    radius to the next, i.e. the windowed bounds fail to stabilize.
+    The windows have the SMOOTHNESS_RADII, on a grid of SMOOTHNESS_STEP.  A
+    member is flagged as growing when the suprema keep increasing from one
+    radius to the next by more than SMOOTHNESS_RTOL, i.e. the windowed
+    bounds fail to stabilize.
     """
-    radii = tuple(sorted(radii))
+    radii, step = SMOOTHNESS_RADII, SMOOTHNESS_STEP
     big = radii[-1]
     grid = np.arange(-big, big + step / 2, step)
     nm = agents.size
@@ -515,7 +524,7 @@ def check_smoothness(agents: AgentSet, order: int,
             t_sup[i, :, r_idx] = np.abs(t[:, mask]).max(axis=1)
         for k in range(order):
             s = a_sup[i, k]
-            if np.any(s[1:] > s[:-1] * (1.0 + stabilization_rtol) + 1e-12):
+            if np.any(s[1:] > s[:-1] * (1.0 + SMOOTHNESS_RTOL) + 1e-12):
                 growing[i] = True
         if spec.family != "exponential" and getattr(spec.aversion, "bounded", None) is False:
             declared[i] = True

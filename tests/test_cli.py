@@ -232,3 +232,12 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "sim.dt" in capsys.readouterr().err
     assert run(["check", "--config", str(tmp_path / "missing.cfg"),
                 "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_the_noise_key_range_exits_2(tmp_path, capsys, seed):
+    cfg = write_cfg(tmp_path, BASE)
+    for cmd in ("simulate", "oracle"):
+        assert run([cmd, "--config", cfg, "--out", str(tmp_path),
+                    "--seed", seed]) == 2
+        assert "sim.seed must lie in" in capsys.readouterr().err

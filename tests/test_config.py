@@ -2,6 +2,7 @@
 
 import pytest
 
+from impactdesk import utility
 from impactdesk.config import ConfigError, parse_config
 from impactdesk.sde import ConstantFlow, FeedbackFlow, ScheduleFlow
 
@@ -246,3 +247,42 @@ def test_non_finite_override_names_the_key():
         key = next(iter(kwargs))
         with pytest.raises(ConfigError, match=rf"^sim\.{key} must be"):
             cfg.override(**kwargs)
+
+
+@pytest.mark.parametrize("value", ["-1", "18446744073709551616"])
+def test_seed_outside_the_noise_key_range_names_the_key_and_line(value):
+    # the Philox key holds the seed as an unsigned 64-bit integer
+    line = MINIMAL.count("\n") + 3
+    with pytest.raises(ConfigError,
+                       match=rf"line {line}: sim\.seed must lie in"):
+        parse_config(MINIMAL + f"\n[sim]\nseed = {value}\n")
+    top = parse_config(MINIMAL + "\n[sim]\nseed = 18446744073709551615\n")
+    assert top.seed == 2**64 - 1
+
+
+def test_seed_override_outside_the_noise_key_range_names_the_key():
+    cfg = parse_config(MINIMAL)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=r"^sim\.seed must lie in"):
+            cfg.override(seed=seed)
+    assert cfg.override(seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_parse_override_and_run_share_one_agent_build(monkeypatch):
+    # parsing validates by building, an override validates again, and a
+    # run builds the agents it uses: one table build per tanh member
+    build, built = utility._build_tables, []
+
+    def counted(aversion):
+        built.append(aversion)
+        return build(aversion)
+
+    monkeypatch.setattr(utility, "_build_tables", counted)
+    text = MINIMAL.replace(
+        "agent = exponential aversion=2\nagent = exponential aversion=2",
+        "agent = tanh base=2 amplitude=0.375 c=2.5\n"
+        "agent = tanh base=1.5 amplitude=0.375 c=2.5")
+    cfg = parse_config(text).override(seed=4, paths=3)
+    agents = cfg.build_agents()
+    assert [spec.family for spec in agents.members] == ["risk_aversion"] * 2
+    assert len(built) == 2

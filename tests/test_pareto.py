@@ -322,3 +322,33 @@ def test_seeded_multiplier_solve_matches_the_cold_solve(rows):
     # both meet the tolerance, and |dpsi/dl| >= M/c
     gap = 2.0 * tol * TANH_EXP.c / TANH_EXP.size
     assert np.all(np.abs(l[~nan] - cold_l[~nan]) <= gap)
+
+
+@pytest.mark.parametrize("agents", [EXP_PAIR, TANH_EXP])
+def test_predicted_log_multiplier_is_first_order(agents):
+    # one weight row per row of wealth points, as `fields` evaluates them;
+    # moving rows 0, 2 and 3 by h (dlogv, dx), the prediction from the
+    # unmoved state is exact where l is linear in (log v, x) (every member
+    # exponential) and off by O(h^2) otherwise
+    rng = np.random.default_rng(5)
+    logv = rng.uniform(-1.0, 1.0, size=(4, 1, 2))
+    x = rng.uniform(-2.0, 2.0, size=(4, 6))
+    p = pareto.sharing_planes(agents, np.exp(logv), x)
+    l = p["log_multiplier"]
+    # an all-exponential desk has one tolerance per member, not per point
+    state = (l, [np.broadcast_to(s, l.shape) for s in p["tolerance_share"]],
+             np.broadcast_to(p["tolerance"], l.shape))
+    dlogv, dx = rng.normal(size=(4, 2)), rng.normal(size=4)
+    rows = np.array([0, 2, 3])
+    errors = []
+    for h in (0.1, 0.05):
+        moved = pareto.sharing_planes(
+            agents, np.exp(logv[rows] + h * dlogv[rows, None, :]),
+            x[rows] + h * dx[rows, None])
+        pred = pareto.predict_log_multiplier(state, rows, h * dlogv[rows],
+                                             h * dx[rows])
+        errors.append(np.abs(pred - moved["log_multiplier"]).max())
+    if agents.all_exponential:
+        assert max(errors) <= 1e-14 * (1.0 + np.abs(l).max())
+    else:
+        assert 3.5 <= errors[0] / errors[1] <= 4.5

@@ -171,6 +171,17 @@ def test_config_validation():
         SimulationConfig(quadrature_n=0)
 
 
+def test_seed_must_fit_the_noise_key():
+    # the Philox key holds the seed as an unsigned 64-bit integer; a seed
+    # outside [0, 2**64) is refused up front, not by the first noise draw
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            SimulationConfig(seed=seed)
+    top = SimulationConfig(dt=0.25, seed=2**64 - 1)
+    inc = brownian_increments(top.seed, 0, 2, top.n_steps, top.dt)
+    assert inc.shape == (2, 4) and np.isfinite(inc).all()
+
+
 # --------------------------------------------------------------------------
 # paths
 
@@ -225,9 +236,11 @@ def test_conjugate_solves_seed_their_multiplier_solves(monkeypatch):
         return inverse(spec, w)
 
     def counted_planes(*args, **kwargs):
+        # a NaN seed entry is no seed: count a call seeded by its finite ones
         before = calls[0]
         out = planes(*args, **kwargs)
-        per_member[kwargs.get("seed") is not None].append(
+        seed = kwargs.get("seed")
+        per_member[seed is not None and bool(np.isfinite(seed).any())].append(
             (calls[0] - before) / TANH_MIX.size)
         return out
 
