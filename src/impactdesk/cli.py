@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .conditions import PASS, check_all_regimes
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_eps
 from .fields import FieldRangeError, coefficient_rows, field_core
 from .quadrature import QuadratureRule
 from .sde import run_ensemble, strong_error_study
@@ -233,9 +233,7 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        eps = "keep"
-        if args.eps is not None:
-            eps = None if args.eps == "auto" else float(args.eps)
+        eps = "keep" if args.eps is None else parse_eps(args.eps)
         cfg = cfg.override(dt=args.dt, paths=args.paths, seed=args.seed,
                            quadrature=args.quadrature, eps=eps)
         out_dir = args.out

@@ -7,6 +7,10 @@ valued.  ``parse_config`` fills every default, so the canonical echo of
 a config always shows the complete effective experiment, and
 ``parse_config(cfg.echo()) == cfg`` holds exactly.  The first twelve
 hex digits of the echo's SHA-256 tag every output file a run writes.
+
+Every number must be finite, and every error names its key and, when
+the text has one, its line.  Each key is one row of ``_KEYS``, which
+parsing, checking and the echo all read.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from __future__ import annotations
 import difflib
 import functools
 import hashlib
+import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .market import LinearPayoff, MarketModel, NamedPayoff, market_model
 from .sde import ConstantFlow, ScheduleFlow, SimulationConfig, step_feedback
@@ -33,18 +39,6 @@ class ConfigError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
 
-
-_SECTIONS = {
-    "agents": ("agent",),
-    "model": ("endowment", "dividend"),
-    "flow": ("kind", "position", "times", "positions", "switch", "before",
-             "after"),
-    "sim": ("dt", "paths", "seed", "eps", "quadrature", "coordinates",
-            "weights", "cash"),
-    "grid": ("times", "levels"),
-    "output": ("paths", "precision"),
-}
-_REPEATED = {("agents", "agent"), ("model", "dividend")}
 
 # family -> (required params, optional params with defaults)
 _AGENT_PARAMS = {
@@ -75,44 +69,63 @@ def _fmt_list(xs) -> str:
     return ",".join(_fmt(x) for x in xs)
 
 
-def _parse_float(text: str, key: str, line=None) -> float:
+def _fmt_params(spec) -> str:
+    kind, params = spec
+    return " ".join([kind] + [f"{k}={_fmt(v)}" for k, v in params])
+
+
+# Parsers take (text, key, line, fields read so far); the key and line
+# name the text in every message.
+
+def _parse_float(text: str, key: str, line=None, got=None) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {text!r}", line)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}", line)
+    return value
 
 
-def _parse_int(text: str, key: str, line=None) -> int:
+def _parse_int(text: str, key: str, line=None, got=None) -> int:
     try:
         return int(text)
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {text!r}", line)
 
 
-def _parse_floats(text: str, key: str, line=None) -> tuple:
+def _parse_floats(text: str, key: str, line=None, got=None) -> tuple:
     parts = [p for p in (s.strip() for s in text.split(",")) if p]
     return tuple(_parse_float(p, key, line) for p in parts)
 
 
-def _parse_eps(text: str, key: str, line=None) -> Optional[float]:
+def parse_eps(text: str, key: str = "sim.eps", line=None,
+              got=None) -> Optional[float]:
+    """The `[sim] eps` value of `text`: a number, or None for `auto`."""
     return None if text == "auto" else _parse_float(text, key, line)
 
 
-# [sim] scalars as (key, field, default, parser, fault, message); parsing
-# checks each fault at its key's line, an override without one
-_SIM_SCALARS = (
-    ("dt", "dt", "0.015625", _parse_float, lambda v: not 0 < v < math.inf,
-     "sim.dt must be positive and finite"),
-    ("paths", "n_paths", "1", _parse_int, lambda v: v < 1,
-     "sim.paths must be at least 1"),
-    ("seed", "seed", "0", _parse_int, lambda v: not 0 <= v < 2**64,
-     "sim.seed must lie in [0, 2**64)"),
-    ("eps", "eps", "auto", _parse_eps,
-     lambda v: v is not None and not 0 < v < math.inf,
-     "sim.eps must be positive and finite (or auto)"),
-    ("quadrature", "quadrature", "64", _parse_int,
-     lambda v: not 1 <= v <= 256, "sim.quadrature must lie in [1, 256]"),
-)
+def _parse_word(text: str, key: str, line=None, got=None) -> str:
+    return text
+
+
+def _row_of(field: str):
+    """A parser for one number per entry of an earlier field."""
+    def parse(text, key, line, got):
+        row = _parse_floats(text, key, line)
+        if len(row) != len(got[field]):
+            raise ConfigError(
+                f"{key} needs {len(got[field])} entries, got {len(row)}", line)
+        return row
+    return parse
+
+
+_per_dividend, _per_agent = _row_of("dividends"), _row_of("agents")
+
+
+def _parse_positions(text: str, key: str, line, got) -> tuple:
+    return tuple(_per_dividend(row, key, line, got)
+                 for row in text.split(";"))
 
 
 def _parse_params(tokens, key: str, table, line=None):
@@ -145,6 +158,121 @@ def _parse_params(tokens, key: str, table, line=None):
             seen[name] = default
     return kind, tuple((n, seen[n]) for n in tuple(required) + tuple(optional)
                        if n in seen)
+
+
+def _parse_agent(text: str, key: str, line, got):
+    family, params = _parse_params(text.split(), key, _AGENT_PARAMS, line)
+    p = dict(params)
+    if family == "exponential" and "c" not in p:
+        # the band [1/c, c] defaults to the tightest one holding aversion
+        if p["aversion"] <= 0:
+            raise ConfigError(f"{key}: aversion must be positive", line)
+        c = max(p["aversion"], 1.0 / p["aversion"])
+        if not math.isfinite(c):
+            raise ConfigError(f"{key}.c must be finite, got 1/aversion = "
+                              f"{_fmt(c)}", line)
+        params += (("c", c),)
+    return family, params
+
+
+def _parse_payoff(text: str, key: str, line, got):
+    return _parse_params(text.split(), key, _PAYOFF_PARAMS, line)
+
+
+def _unless(ok, message: str):
+    """A check giving `message` for a value that fails `ok`."""
+    return lambda value, got: None if ok(value) else message
+
+
+class _Key(NamedTuple):
+    """One config key: where it sits, how it parses, checks and echoes."""
+
+    section: str
+    key: str
+    field: str                  # the ExperimentConfig field it fills
+    default: object             # text to parse, a function of the fields
+                                # read so far, or None: `flow` needs it
+    parse: Callable
+    echo: Callable = _fmt
+    check: Callable = lambda value, got: None   # -> message or None
+    flow: Optional[str] = None  # the one flow kind that reads the key
+    idle: object = ()           # the field's value under other flow kinds
+    repeated: bool = False      # one line per entry of a tuple field
+
+
+# Every key, in parse and echo order: a default may read the fields of
+# the rows above it.
+_KEYS = (
+    _Key("agents", "agent", "agents", (), _parse_agent, _fmt_params,
+         _unless(bool, "agents.agent: at least one agent is required"),
+         repeated=True),
+    _Key("model", "endowment", "endowment", "linear slope=0.0",
+         _parse_payoff, _fmt_params),
+    _Key("model", "dividend", "dividends", (), _parse_payoff, _fmt_params,
+         repeated=True),
+    _Key("flow", "kind", "flow_kind", "constant", _parse_word, str,
+         lambda kind, got: None if kind in ("constant", "schedule", "step")
+         else f"flow.kind must be constant, schedule, or step, got {kind!r}"),
+    _Key("flow", "position", "flow_position",
+         lambda got: (0.0,) * len(got["dividends"]), _per_dividend,
+         _fmt_list, flow="constant"),
+    _Key("flow", "times", "flow_times", None, _parse_floats, _fmt_list,
+         flow="schedule"),
+    _Key("flow", "positions", "flow_positions", None,
+         _parse_positions,
+         lambda rows: "; ".join(_fmt_list(row) for row in rows),
+         lambda rows, got: None if len(rows) == len(got["flow_times"])
+         else f"flow.positions needs one row per time "
+              f"({len(got['flow_times'])}), got {len(rows)}",
+         flow="schedule"),
+    _Key("flow", "switch", "flow_switch", None, _parse_float,
+         check=_unless(lambda s: 0.0 < s < 1.0,
+                       "flow.switch must lie strictly inside (0, 1)"),
+         flow="step", idle=0.0),
+    _Key("flow", "before", "flow_before", None, _per_dividend,
+         _fmt_list, flow="step"),
+    _Key("flow", "after", "flow_after", None, _per_dividend,
+         _fmt_list, flow="step"),
+    _Key("sim", "dt", "dt", "0.015625", _parse_float,
+         check=_unless(lambda dt: 0 < dt < math.inf,
+                       "sim.dt must be positive and finite")),
+    _Key("sim", "paths", "n_paths", "1", _parse_int, str,
+         _unless(lambda n: n >= 1, "sim.paths must be at least 1")),
+    _Key("sim", "seed", "seed", "0", _parse_int, str,
+         _unless(lambda s: 0 <= s < 2**64, "sim.seed must lie in [0, 2**64)")),
+    _Key("sim", "eps", "eps", "auto", parse_eps,
+         lambda eps: "auto" if eps is None else _fmt(eps),
+         _unless(lambda eps: eps is None or 0 < eps < math.inf,
+                 "sim.eps must be positive and finite (or auto)")),
+    _Key("sim", "quadrature", "quadrature", "64", _parse_int, str,
+         _unless(lambda n: 1 <= n <= 256,
+                 "sim.quadrature must lie in [1, 256]")),
+    _Key("sim", "coordinates", "coordinates", "log", _parse_word, str,
+         lambda c, got: None if c in ("log", "direct")
+         else f"sim.coordinates must be log or direct, got {c!r}"),
+    _Key("sim", "weights", "weights",
+         lambda got: (1.0,) * len(got["agents"]), _per_agent,
+         _fmt_list,
+         _unless(lambda ws: all(0 < w < math.inf for w in ws),
+                 "sim.weights must all be positive and finite")),
+    _Key("sim", "cash", "cash", "0.0", _parse_float),
+    _Key("grid", "times", "grid_times", "0.0,0.5,1.0", _parse_floats,
+         _fmt_list,
+         _unless(lambda ts: ts and all(0.0 <= t <= 1.0 for t in ts),
+                 "grid.times must be nonempty within [0, 1]")),
+    _Key("grid", "levels", "grid_levels", "-1.0,-0.5,0.0,0.5,1.0",
+         _parse_floats, _fmt_list,
+         _unless(bool, "grid.levels must be nonempty")),
+    _Key("output", "paths", "output_paths", "1", _parse_int, str,
+         _unless(lambda n: n >= 0, "output.paths must be nonnegative")),
+    _Key("output", "precision", "precision", "12", _parse_int, str,
+         _unless(lambda p: 3 <= p <= 17,
+                 "output.precision must lie in [3, 17]")),
+)
+_SECTIONS = {section: tuple(row.key for row in rows)
+             for section, rows in itertools.groupby(
+                 _KEYS, operator.attrgetter("section"))}
+_ROWS = {(row.section, row.key): row for row in _KEYS}
 
 
 @functools.lru_cache(maxsize=1)
@@ -237,66 +365,26 @@ class ExperimentConfig:
 
     def override(self, dt=None, paths=None, seed=None, quadrature=None,
                  eps="keep") -> "ExperimentConfig":
-        out = self
-        if dt is not None:
-            out = replace(out, dt=float(dt))
-        if paths is not None:
-            out = replace(out, n_paths=int(paths))
-        if seed is not None:
-            out = replace(out, seed=int(seed))
-        if quadrature is not None:
-            out = replace(out, quadrature=int(quadrature))
+        changes = {field: cast(value) for field, cast, value in (
+            ("dt", float, dt), ("n_paths", int, paths), ("seed", int, seed),
+            ("quadrature", int, quadrature)) if value is not None}
         if eps != "keep":
-            out = replace(out, eps=eps)
+            changes["eps"] = eps
+        out = replace(self, **changes)
         _validate(out)
         return out
 
     def echo(self) -> str:
-        lines = ["[agents]"]
-        for family, params in self.agents:
-            rest = " ".join(f"{k}={_fmt(v)}" for k, v in params)
-            lines.append(f"agent = {family} {rest}".rstrip())
-        lines.append("")
-        lines.append("[model]")
-        kind, params = self.endowment
-        rest = " ".join(f"{k}={_fmt(v)}" for k, v in params)
-        lines.append(f"endowment = {kind} {rest}".rstrip())
-        for kind, params in self.dividends:
-            rest = " ".join(f"{k}={_fmt(v)}" for k, v in params)
-            lines.append(f"dividend = {kind} {rest}".rstrip())
-        lines.append("")
-        lines.append("[flow]")
-        lines.append(f"kind = {self.flow_kind}")
-        if self.flow_kind == "constant":
-            lines.append(f"position = {_fmt_list(self.flow_position)}")
-        elif self.flow_kind == "schedule":
-            lines.append(f"times = {_fmt_list(self.flow_times)}")
-            rows = "; ".join(_fmt_list(row) for row in self.flow_positions)
-            lines.append(f"positions = {rows}")
-        else:
-            lines.append(f"switch = {_fmt(self.flow_switch)}")
-            lines.append(f"before = {_fmt_list(self.flow_before)}")
-            lines.append(f"after = {_fmt_list(self.flow_after)}")
-        lines.append("")
-        lines.append("[sim]")
-        lines.append(f"dt = {_fmt(self.dt)}")
-        lines.append(f"paths = {self.n_paths}")
-        lines.append(f"seed = {self.seed}")
-        lines.append("eps = auto" if self.eps is None
-                     else f"eps = {_fmt(self.eps)}")
-        lines.append(f"quadrature = {self.quadrature}")
-        lines.append(f"coordinates = {self.coordinates}")
-        lines.append(f"weights = {_fmt_list(self.weights)}")
-        lines.append(f"cash = {_fmt(self.cash)}")
-        lines.append("")
-        lines.append("[grid]")
-        lines.append(f"times = {_fmt_list(self.grid_times)}")
-        lines.append(f"levels = {_fmt_list(self.grid_levels)}")
-        lines.append("")
-        lines.append("[output]")
-        lines.append(f"paths = {self.output_paths}")
-        lines.append(f"precision = {self.precision}")
-        lines.append("")
+        lines = []
+        for section, rows in itertools.groupby(
+                _KEYS, operator.attrgetter("section")):
+            lines.append(f"[{section}]")
+            for row in rows:
+                if row.flow in (None, self.flow_kind):
+                    value = getattr(self, row.field)
+                    lines += [f"{row.key} = {row.echo(v)}" for v in
+                              (value if row.repeated else (value,))]
+            lines.append("")
         return "\n".join(lines)
 
     @property
@@ -305,8 +393,8 @@ class ExperimentConfig:
 
 
 def _scan(text: str):
-    """Raw (section, key, value, line) entries with syntax errors located."""
-    entries = []
+    """Raw {(section, key): [(value, line), ...]}, syntax errors located."""
+    entries = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -333,163 +421,52 @@ def _scan(text: str):
             raise ConfigError(
                 f"unknown key {key!r} in [{section}]{_suggest(key, known)}",
                 lineno)
-        if (section, key) not in _REPEATED and \
-                any(s == section and k == key for s, k, _, _ in entries):
+        if (section, key) in entries and not _ROWS[section, key].repeated:
             raise ConfigError(f"duplicate key {section}.{key}", lineno)
-        entries.append((section, key, value, lineno))
+        entries.setdefault((section, key), []).append((value, lineno))
     return entries
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse, validate, and fill every default; see the module docstring."""
     entries = _scan(text)
-
-    def items(section, key):
-        return [(v, ln) for s, k, v, ln in entries
-                if s == section and k == key]
-
-    def single(section, key, default=None):
-        got = items(section, key)
-        return got[0] if got else (default, None)
-
-    agents = []
-    for value, ln in items("agents", "agent"):
-        family, params = _parse_params(value.split(), "agents.agent",
-                                       _AGENT_PARAMS, ln)
-        if family == "exponential":
-            p = dict(params)
-            if "c" not in p:
-                a = p["aversion"]
-                if a <= 0:
-                    raise ConfigError(
-                        "agents.agent: aversion must be positive", ln)
-                params = params + (("c", max(a, 1.0 / a)),)
-        agents.append((family, params))
-    if not agents:
-        raise ConfigError("agents.agent: at least one agent is required")
-
-    endow_raw, ln = single("model", "endowment", "linear slope=0.0")
-    endowment = _parse_params(endow_raw.split(), "model.endowment",
-                              _PAYOFF_PARAMS, ln)
-    dividends = tuple(
-        _parse_params(value.split(), "model.dividend", _PAYOFF_PARAMS, ln)
-        for value, ln in items("model", "dividend"))
-    n_members, n_dividends = len(agents), len(dividends)
-
-    kind, ln = single("flow", "kind", "constant")
-    if kind not in ("constant", "schedule", "step"):
-        raise ConfigError(
-            f"flow.kind must be constant, schedule, or step, got {kind!r}",
-            ln)
-    flow_position = ()
-    flow_times, flow_positions = (), ()
-    flow_switch, flow_before, flow_after = 0.0, (), ()
-
-    def positions_row(text, key, ln):
-        row = _parse_floats(text, key, ln)
-        if len(row) != n_dividends:
-            raise ConfigError(
-                f"{key} needs {n_dividends} entries, got {len(row)}", ln)
-        return row
-
-    if kind == "constant":
-        raw, ln = single("flow", "position")
-        flow_position = (positions_row(raw, "flow.position", ln)
-                         if raw is not None else (0.0,) * n_dividends)
-    elif kind == "schedule":
-        raw, ln = single("flow", "times")
-        if raw is None:
-            raise ConfigError("flow.times is required for a schedule flow")
-        flow_times = _parse_floats(raw, "flow.times", ln)
-        raw, ln = single("flow", "positions")
-        if raw is None:
-            raise ConfigError(
-                "flow.positions is required for a schedule flow")
-        flow_positions = tuple(
-            positions_row(row, "flow.positions", ln)
-            for row in raw.split(";"))
-        if len(flow_positions) != len(flow_times):
-            raise ConfigError(
-                f"flow.positions needs one row per time "
-                f"({len(flow_times)}), got {len(flow_positions)}", ln)
-    else:
-        raw, ln = single("flow", "switch")
-        if raw is None:
-            raise ConfigError("flow.switch is required for a step flow")
-        flow_switch = _parse_float(raw, "flow.switch", ln)
-        if not 0.0 < flow_switch < 1.0:
-            raise ConfigError("flow.switch must lie strictly inside (0, 1)",
-                              ln)
-        for name in ("before", "after"):
-            raw, ln = single("flow", name)
-            if raw is None:
-                raise ConfigError(
-                    f"flow.{name} is required for a step flow")
-            row = positions_row(raw, f"flow.{name}", ln)
-            if name == "before":
-                flow_before = row
-            else:
-                flow_after = row
-
-    sim = {}
-    for key, field, default, parse, fault, message in _SIM_SCALARS:
-        raw, ln = single("sim", key, default)
-        sim[field] = parse(raw, f"sim.{key}", ln)
-        if fault(sim[field]):
-            raise ConfigError(message, ln)
-    coordinates, ln = single("sim", "coordinates", "log")
-    if coordinates not in ("log", "direct"):
-        raise ConfigError(
-            f"sim.coordinates must be log or direct, got {coordinates!r}",
-            ln)
-    raw, ln = single("sim", "weights")
-    weights = (_parse_floats(raw, "sim.weights", ln)
-               if raw is not None else (1.0,) * n_members)
-    if len(weights) != n_members:
-        raise ConfigError(
-            f"sim.weights needs {n_members} entries, got {len(weights)}", ln)
-    if any(not 0 < w < math.inf for w in weights):
-        raise ConfigError("sim.weights must all be positive and finite", ln)
-    raw, ln = single("sim", "cash", "0.0")
-    cash = _parse_float(raw, "sim.cash", ln)
-    if not math.isfinite(cash):
-        raise ConfigError("sim.cash must be finite", ln)
-
-    raw, ln = single("grid", "times", "0.0,0.5,1.0")
-    grid_times = _parse_floats(raw, "grid.times", ln)
-    if not grid_times or any(not 0.0 <= t <= 1.0 for t in grid_times):
-        raise ConfigError("grid.times must be nonempty within [0, 1]", ln)
-    raw, ln = single("grid", "levels", "-1.0,-0.5,0.0,0.5,1.0")
-    grid_levels = _parse_floats(raw, "grid.levels", ln)
-    if not grid_levels:
-        raise ConfigError("grid.levels must be nonempty", ln)
-
-    raw, ln = single("output", "paths", "1")
-    output_paths = _parse_int(raw, "output.paths", ln)
-    if output_paths < 0:
-        raise ConfigError("output.paths must be nonnegative", ln)
-    raw, ln = single("output", "precision", "12")
-    precision = _parse_int(raw, "output.precision", ln)
-    if not 3 <= precision <= 17:
-        raise ConfigError("output.precision must lie in [3, 17]", ln)
-
-    cfg = ExperimentConfig(
-        agents=tuple(agents), endowment=endowment, dividends=dividends,
-        flow_kind=kind, flow_position=flow_position, flow_times=flow_times,
-        flow_positions=flow_positions, flow_switch=flow_switch,
-        flow_before=flow_before, flow_after=flow_after,
-        coordinates=coordinates, weights=weights, cash=cash,
-        grid_times=grid_times, grid_levels=grid_levels,
-        output_paths=output_paths, precision=precision, **sim)
+    got = {}
+    for row in _KEYS:
+        if row.flow and row.flow != got["flow_kind"]:
+            got[row.field] = row.idle
+            continue
+        name = f"{row.section}.{row.key}"
+        found = entries.get((row.section, row.key), ())
+        line = None
+        if row.repeated:
+            value = tuple(row.parse(v, name, ln, got) for v, ln in found)
+        elif found:
+            (raw, line), = found
+            value = row.parse(raw, name, line, got)
+        elif row.default is None:
+            raise ConfigError(f"{name} is required for a {row.flow} flow")
+        elif callable(row.default):
+            value = row.default(got)
+        else:
+            value = row.parse(row.default, name, None, got)
+        message = row.check(value, got)
+        if message:
+            raise ConfigError(message, line)
+        got[row.field] = value
+    cfg = ExperimentConfig(**got)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig):
-    """Cross-field checks that overrides can invalidate again."""
-    for _, field, _, _, fault, message in _SIM_SCALARS:
-        if fault(getattr(cfg, field)):
-            raise ConfigError(message)
+    """Every key's check again, then the cross-field checks; overrides
+    can invalidate any of them."""
+    got = vars(cfg)
+    for row in _KEYS:
+        if row.flow in (None, cfg.flow_kind):
+            message = row.check(got[row.field], got)
+            if message:
+                raise ConfigError(message)
     steps = 1.0 / cfg.dt
     if abs(round(steps) - steps) > 1e-9:
         raise ConfigError("sim.dt must divide the unit horizon evenly")

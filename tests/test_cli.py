@@ -241,3 +241,31 @@ def test_seed_outside_the_noise_key_range_exits_2(tmp_path, capsys, seed):
         assert run([cmd, "--config", cfg, "--out", str(tmp_path),
                     "--seed", seed]) == 2
         assert "sim.seed must lie in" in capsys.readouterr().err
+
+
+def test_non_finite_grid_level_exits_2_and_names_the_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE.replace("levels = -0.5,0.0,0.5",
+                                           "levels = -0.5,nan"))
+    assert run(["fields", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        "impactdesk: line 23: grid.levels must be finite, got 'nan'\n"
+    assert not (tmp_path / "fields.csv").exists()
+
+
+@pytest.mark.parametrize("eps,message", [
+    ("x", "sim.eps must be a number, got 'x'"),
+    ("nan", "sim.eps must be finite, got 'nan'"),
+    ("0", "sim.eps must be positive and finite (or auto)")])
+def test_bad_eps_flag_names_the_key(tmp_path, capsys, eps, message):
+    cfg = write_cfg(tmp_path, BASE)
+    assert run(["check", "--config", cfg, "--out", str(tmp_path),
+                "--eps", eps]) == 2
+    assert capsys.readouterr().err == f"impactdesk: {message}\n"
+
+
+def test_eps_flag_takes_auto_and_numbers(tmp_path):
+    cfg = write_cfg(tmp_path, BASE.replace("seed = 7", "seed = 7\neps = 1e-8"))
+    for flag, line in (("auto", "eps = auto"), ("1e-9", "eps = 1e-09")):
+        assert run(["check", "--config", cfg, "--out", str(tmp_path),
+                    "--eps", flag]) == 0
+        assert line in (tmp_path / "config.txt").read_text().splitlines()

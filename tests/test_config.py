@@ -1,5 +1,7 @@
 """Config text parsing, defaults, canonical echo, and error reporting."""
 
+import os
+
 import pytest
 
 from impactdesk import utility
@@ -51,6 +53,30 @@ paths = 3
 precision = 10
 """
 
+STEP = """
+[agents]
+agent = sin2 base=2 amplitude=0.5 c=2.5 scale=1.5
+agent = exponential aversion=0.5
+
+[model]
+endowment = exp scale=0.5
+dividend = cos scale=2
+dividend = square
+
+[flow]
+kind = step
+switch = 0.25
+before = 0.5,0
+after = 20,1
+
+[sim]
+dt = 0.03125
+eps = 1e-6
+"""
+
+# MINIMAL has nine lines, so a key after "\n[section]\n" sits on line 11
+SIM, FLOW = MINIMAL + "\n[sim]\n", MINIMAL + "\n[flow]\n"
+
 
 def test_minimal_config_fills_defaults():
     cfg = parse_config(MINIMAL)
@@ -77,9 +103,27 @@ def test_exponential_band_default_is_explicit():
 
 
 def test_echo_round_trips_exactly():
-    for text in (MINIMAL, FULL):
+    for text in (MINIMAL, FULL, STEP):
         cfg = parse_config(text)
         assert parse_config(cfg.echo()) == cfg
+
+
+@pytest.mark.parametrize("text,digest", [
+    (MINIMAL, "4c8fab92bffc"),   # constant flow, exponential, eps auto
+    (FULL, "25a44b90034a"),      # schedule flow, tanh, named payoff
+    (STEP, "f884909aa392"),      # step flow, sin2, named payoffs only
+])
+def test_echo_bytes_are_pinned(text, digest):
+    # every artifact header carries this hash: a moved echo byte shows here
+    assert parse_config(text).content_hash == digest
+
+
+def test_readme_example_parses_and_round_trips():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert parse_config(cfg.echo()) == cfg
 
 
 def test_content_hash_tracks_content():
@@ -286,3 +330,156 @@ def test_parse_override_and_run_share_one_agent_build(monkeypatch):
     agents = cfg.build_agents()
     assert [spec.family for spec in agents.members] == ["risk_aversion"] * 2
     assert len(built) == 2
+
+
+EXACT_MESSAGES = [
+    # syntax
+    ("[agents\n", "line 1: unterminated section header"),
+    ("[modell]\n", "line 1: unknown section [modell]; did you mean 'model'?"),
+    ("[agents]\nagent exponential\n",
+     "line 2: expected key = value, got 'agent exponential'"),
+    ("agent = exponential aversion=2\n",
+     "line 1: assignment before any [section]"),
+    (SIM + "quadrture = 8\n",
+     "line 11: unknown key 'quadrture' in [sim]; did you mean 'quadrature'?"),
+    (SIM + "dt = 0.5\ndt = 0.25\n", "line 12: duplicate key sim.dt"),
+    # agent and payoff lines
+    (MINIMAL.replace("exponential aversion=2", "exponentail aversion=2", 1),
+     "line 3: agents.agent: unknown kind 'exponentail'; "
+     "did you mean 'exponential'?"),
+    (MINIMAL.replace("aversion=2", "aversion", 1),
+     "line 3: agents.agent: expected parameter=value, got 'aversion'"),
+    (MINIMAL.replace("aversion=2", "aversio=2", 1),
+     "line 3: agents.agent: unknown parameter 'aversio' for 'exponential'; "
+     "did you mean 'aversion'?"),
+    (MINIMAL.replace("aversion=2", "aversion=2 aversion=3", 1),
+     "line 3: agents.agent: duplicate parameter 'aversion'"),
+    (MINIMAL.replace("exponential aversion=2", "tanh base=2 amplitude=0.5", 1),
+     "line 3: agents.agent: 'tanh' needs parameter 'c'"),
+    (MINIMAL.replace("aversion=2", "aversion=x", 1),
+     "line 3: agents.agent.aversion must be a number, got 'x'"),
+    (MINIMAL.replace("aversion=2", "aversion=-1", 1),
+     "line 3: agents.agent: aversion must be positive"),
+    ("[model]\ndividend = linear slope=1\n",
+     "agents.agent: at least one agent is required"),
+    (MINIMAL.replace("endowment = linear", "endowment = lineer", 1),
+     "line 7: model.endowment: unknown kind 'lineer'; did you mean 'linear'?"),
+    (MINIMAL.replace("slope=1", "slop=1", 1),
+     "line 8: model.dividend: unknown parameter 'slop' for 'linear'; "
+     "did you mean 'slope'?"),
+    # [flow]
+    (FLOW + "kind = bogus\n",
+     "line 11: flow.kind must be constant, schedule, or step, got 'bogus'"),
+    (FLOW + "position = 0.5,0.5\n",
+     "line 11: flow.position needs 1 entries, got 2"),
+    (FLOW + "position = x\n",
+     "line 11: flow.position must be a number, got 'x'"),
+    (FLOW + "kind = schedule\npositions = 0.5\n",
+     "flow.times is required for a schedule flow"),
+    (FLOW + "kind = schedule\ntimes = 0,0.5\n",
+     "flow.positions is required for a schedule flow"),
+    (FLOW + "kind = schedule\ntimes = 0,0.5\npositions = 0.5\n",
+     "line 13: flow.positions needs one row per time (2), got 1"),
+    (FLOW + "kind = schedule\ntimes = 0,0.5\npositions = 0.5,1; 1\n",
+     "line 13: flow.positions needs 1 entries, got 2"),
+    (FLOW + "kind = step\nbefore = 0.5\nafter = 20\n",
+     "flow.switch is required for a step flow"),
+    (FLOW + "kind = step\nswitch = 0.5\nafter = 20\n",
+     "flow.before is required for a step flow"),
+    (FLOW + "kind = step\nswitch = 0.5\nbefore = 0.5\n",
+     "flow.after is required for a step flow"),
+    (FLOW + "kind = step\nswitch = 1\nbefore = 0.5\nafter = 20\n",
+     "line 12: flow.switch must lie strictly inside (0, 1)"),
+    (FLOW + "kind = step\nswitch = 0.5\nbefore = 0.5,1\nafter = 20\n",
+     "line 13: flow.before needs 1 entries, got 2"),
+    # [sim], [grid], [output]
+    (SIM + "dt = -0.5\n", "line 11: sim.dt must be positive and finite"),
+    (SIM + "dt = x\n", "line 11: sim.dt must be a number, got 'x'"),
+    (SIM + "paths = 0\n", "line 11: sim.paths must be at least 1"),
+    (SIM + "paths = 1.5\n",
+     "line 11: sim.paths must be an integer, got '1.5'"),
+    (SIM + "seed = -1\n", "line 11: sim.seed must lie in [0, 2**64)"),
+    (SIM + "eps = 0\n",
+     "line 11: sim.eps must be positive and finite (or auto)"),
+    (SIM + "quadrature = 257\n",
+     "line 11: sim.quadrature must lie in [1, 256]"),
+    (SIM + "coordinates = polar\n",
+     "line 11: sim.coordinates must be log or direct, got 'polar'"),
+    (SIM + "weights = 1,1,1\n", "line 11: sim.weights needs 2 entries, got 3"),
+    (SIM + "weights = 1,0\n",
+     "line 11: sim.weights must all be positive and finite"),
+    (SIM + "cash = x\n", "line 11: sim.cash must be a number, got 'x'"),
+    (MINIMAL + "\n[grid]\ntimes = 0,1.5\n",
+     "line 11: grid.times must be nonempty within [0, 1]"),
+    (MINIMAL + "\n[grid]\nlevels =\n",
+     "line 11: grid.levels must be nonempty"),
+    (MINIMAL + "\n[output]\npaths = -1\n",
+     "line 11: output.paths must be nonnegative"),
+    (MINIMAL + "\n[output]\nprecision = 2\n",
+     "line 11: output.precision must lie in [3, 17]"),
+    # cross-field checks and wrapped builder errors carry no line
+    (SIM + "dt = 0.3\n", "sim.dt must divide the unit horizon evenly"),
+    (FLOW + "kind = schedule\ntimes = 0.5,0.25\npositions = 0.5; 1\n",
+     "flow: schedule times must start at 0 and increase"),
+    (MINIMAL.replace("exponential aversion=2",
+                     "tanh base=2 amplitude=5 c=2.5", 1),
+     "agents.agent: tanh aversion must stay positive"),
+]
+
+
+@pytest.mark.parametrize("text,message", EXACT_MESSAGES,
+                         ids=[message for _, message in EXACT_MESSAGES])
+def test_each_check_gives_its_exact_message(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
+NON_FINITE = [
+    (MINIMAL + "\n[grid]\nlevels = -1,nan\n",
+     "line 11: grid.levels must be finite, got 'nan'"),
+    (FLOW + "position = inf\n",
+     "line 11: flow.position must be finite, got 'inf'"),
+    (FLOW + "kind = schedule\ntimes = 0,inf\npositions = 0; 0\n",
+     "line 12: flow.times must be finite, got 'inf'"),
+    (FLOW + "kind = schedule\ntimes = 0\npositions = nan\n",
+     "line 13: flow.positions must be finite, got 'nan'"),
+    (FLOW + "kind = step\nswitch = nan\nbefore = 0.5\nafter = 20\n",
+     "line 12: flow.switch must be finite, got 'nan'"),
+    (FLOW + "kind = step\nswitch = 0.5\nbefore = nan\nafter = 20\n",
+     "line 13: flow.before must be finite, got 'nan'"),
+    (FLOW + "kind = step\nswitch = 0.5\nbefore = 0.5\nafter = -inf\n",
+     "line 14: flow.after must be finite, got '-inf'"),
+    (MINIMAL.replace("aversion=2", "aversion=nan", 1),
+     "line 3: agents.agent.aversion must be finite, got 'nan'"),
+    (MINIMAL.replace("aversion=2", "aversion=inf", 1),
+     "line 3: agents.agent.aversion must be finite, got 'inf'"),
+    (MINIMAL.replace("aversion=2", "aversion=2 c=1e400", 1),
+     "line 3: agents.agent.c must be finite, got '1e400'"),
+    # the default band c = max(aversion, 1/aversion) overflows here
+    (MINIMAL.replace("aversion=2", "aversion=1e-320", 1),
+     "line 3: agents.agent.c must be finite, got 1/aversion = inf"),
+    (MINIMAL.replace("exponential aversion=2",
+                     "tanh base=inf amplitude=0.5 c=2.5", 1),
+     "line 3: agents.agent.base must be finite, got 'inf'"),
+    (MINIMAL.replace("exponential aversion=2",
+                     "sin2 base=2 amplitude=nan c=2.5", 1),
+     "line 3: agents.agent.amplitude must be finite, got 'nan'"),
+    (MINIMAL.replace("exponential aversion=2",
+                     "tanh base=2 amplitude=0.5 c=2.5 scale=-inf", 1),
+     "line 3: agents.agent.scale must be finite, got '-inf'"),
+    (MINIMAL.replace("slope=0.5", "slope=nan", 1),
+     "line 7: model.endowment.slope must be finite, got 'nan'"),
+    (MINIMAL.replace("slope=0.5", "slope=0.5 intercept=inf", 1),
+     "line 7: model.endowment.intercept must be finite, got 'inf'"),
+    (MINIMAL.replace("dividend = linear slope=1", "dividend = exp scale=inf"),
+     "line 8: model.dividend.scale must be finite, got 'inf'"),
+]
+
+
+@pytest.mark.parametrize("text,message", NON_FINITE,
+                         ids=[message for _, message in NON_FINITE])
+def test_non_finite_numbers_name_the_key_and_line(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
