@@ -70,23 +70,6 @@ def _run_check(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0 if certified else 1
 
 
-def _flow_positions(cfg, agents, model, rule, flow, t, levels):
-    """Orders the flow would submit at the grid states.
-
-    State-dependent flows see the field's own utility marginals at the
-    held position as their state; constant and schedule flows ignore it.
-    """
-    z = np.asarray(levels, dtype=float)
-    q0 = np.broadcast_to(flow.initial_position,
-                         (z.size, model.n_dividends))
-    hint = field_core(agents, model, rule, t, z,
-                      np.broadcast_to(np.asarray(cfg.weights),
-                                      (z.size, agents.size)),
-                      np.full(z.size, cfg.cash), q0,
-                      order=1)["value_v"]
-    return flow.at(t, hint, z)
-
-
 def _run_fields(cfg: ExperimentConfig, out_dir: str) -> int:
     agents, model = cfg.build_agents(), cfg.build_model()
     flow = cfg.build_flow()
@@ -101,7 +84,8 @@ def _run_fields(cfg: ExperimentConfig, out_dir: str) -> int:
     v = np.asarray(cfg.weights)
     z = np.asarray(cfg.grid_levels, dtype=float)
     for t in cfg.grid_times:
-        q = _flow_positions(cfg, agents, model, rule, flow, t, z)
+        # a config builds only schedules, whose position depends on t alone
+        q = np.broadcast_to(flow.position_at(t), (z.size, j))
         out = field_core(agents, model, rule, t, z, v[None], [cfg.cash], q,
                          order=2, with_integrand=True)
         # the coefficient rows go back through the conjugate solve, nan

@@ -102,7 +102,15 @@ class ConditionReport:
 
 
 def _smoothness_check(agents: AgentSet, order: int,
-                      name: str) -> tuple[Check, SmoothnessReport]:
+                      name: str) -> tuple[Check, Optional[SmoothnessReport]]:
+    budgets = [m.max_derivative_order - 2 for m in agents.members]
+    short = [i for i, b in enumerate(budgets) if b < order]
+    if short:
+        # a member that declares fewer aversion derivatives than the
+        # regime needs cannot be certified, whatever its profile could give
+        return Check(name, FAIL, (
+            f"member(s) {short} declare aversion derivatives only up to "
+            f"order(s) {[budgets[i] for i in short]}, below {order}")), None
     rep = check_smoothness(agents, order)
     worst = float(rep.aversion_sup.max()) if rep.aversion_sup.size else 0.0
     if rep.declared_unbounded.any():

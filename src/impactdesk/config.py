@@ -130,6 +130,9 @@ def _parse_positions(text: str, key: str, line, got) -> tuple:
 
 def _parse_params(tokens, key: str, table, line=None):
     """`name k=v ...` lines for agents and payoffs."""
+    if not tokens:
+        raise ConfigError(
+            f"{key} needs a kind ({', '.join(table)}), got nothing", line)
     kind = tokens[0]
     if kind not in table:
         raise ConfigError(
@@ -432,11 +435,15 @@ def parse_config(text: str) -> ExperimentConfig:
     entries = _scan(text)
     got = {}
     for row in _KEYS:
-        if row.flow and row.flow != got["flow_kind"]:
-            got[row.field] = row.idle
-            continue
         name = f"{row.section}.{row.key}"
         found = entries.get((row.section, row.key), ())
+        if row.flow and row.flow != got["flow_kind"]:
+            if found:
+                raise ConfigError(
+                    f"{name} belongs to a {row.flow} flow, but flow.kind "
+                    f"is {got['flow_kind']}", found[0][1])
+            got[row.field] = row.idle
+            continue
         line = None
         if row.repeated:
             value = tuple(row.parse(v, name, ln, got) for v, ln in found)

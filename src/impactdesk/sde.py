@@ -103,27 +103,11 @@ WORKERS_ENV = "IMPACTDESK_WORKERS"
 # order flows
 
 
-class ConstantFlow:
-    """Fixed position held over the whole horizon."""
-
-    def __init__(self, position):
-        self.position = np.atleast_1d(np.asarray(position, dtype=float))
-
-    @property
-    def initial_position(self) -> np.ndarray:
-        return self.position
-
-    @property
-    def local_bound(self) -> float:
-        return float(np.abs(self.position).max(initial=0.0))
-
-    def at(self, t: float, utilities: np.ndarray, level: np.ndarray):
-        return np.broadcast_to(self.position,
-                               (utilities.shape[0], self.position.size))
-
-
 class ScheduleFlow:
-    """Piecewise-constant position; segment k covers [t_k, t_{k+1})."""
+    """Piecewise-constant position; segment k covers [t_k, t_{k+1}).
+
+    The one state-free flow: its position depends on the time alone.
+    """
 
     def __init__(self, times: Sequence[float], positions):
         self.times = np.asarray(times, dtype=float)
@@ -142,19 +126,37 @@ class ScheduleFlow:
     def local_bound(self) -> float:
         return float(np.abs(self.positions).max(initial=0.0))
 
+    def position_at(self, t: float) -> np.ndarray:
+        """The position held at time t, shape (J,)."""
+        return self.positions[int(np.searchsorted(self.times, t,
+                                                  side="right")) - 1]
+
     def at(self, t: float, utilities: np.ndarray, level: np.ndarray):
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        return np.broadcast_to(self.positions[k],
+        return np.broadcast_to(self.position_at(t),
                                (utilities.shape[0], self.positions.shape[1]))
+
+
+class ConstantFlow(ScheduleFlow):
+    """Fixed position held over the whole horizon: a one-segment schedule."""
+
+    def __init__(self, position):
+        super().__init__([0.0], [np.atleast_1d(position)])
+
+
+def step_feedback(t_switch: float, before, after) -> ScheduleFlow:
+    """Schedule that rebalances from `before` to `after` at t_switch."""
+    return ScheduleFlow([0.0, t_switch],
+                        [np.atleast_1d(before), np.atleast_1d(after)])
 
 
 class FeedbackFlow:
     """Position chosen by a rule from the left-limit state.
 
-    The rule is called as rule(t, utilities (P, M), level (P,)) and must
-    return something broadcastable to (P, J); it sees the state before
-    the step's increment is applied.  A finite local bound must be
-    declared — the flow promises |position| never exceeds it.
+    The one flow that reads the state.  The rule is called as rule(t,
+    utilities (P, M), level (P,)) and must return something
+    broadcastable to (P, J); it sees the state before the step's
+    increment is applied.  A finite local bound must be declared — the
+    flow promises |position| never exceeds it.
     """
 
     def __init__(self, rule: Callable, initial_position, local_bound: float):
@@ -176,26 +178,6 @@ class FeedbackFlow:
     def at(self, t: float, utilities: np.ndarray, level: np.ndarray):
         q = np.asarray(self.rule(t, utilities, level), dtype=float)
         return np.broadcast_to(q, (utilities.shape[0], self._initial.size))
-
-
-class _StepRule:
-    """Jump from one constant position to another at a switch time."""
-
-    def __init__(self, t_switch: float, before, after):
-        self.t_switch = float(t_switch)
-        self.before = np.atleast_1d(np.asarray(before, dtype=float))
-        self.after = np.atleast_1d(np.asarray(after, dtype=float))
-
-    def __call__(self, t, utilities, level):
-        return self.after if t >= self.t_switch else self.before
-
-
-def step_feedback(t_switch: float, before, after) -> FeedbackFlow:
-    """Feedback flow that rebalances to a new position at t_switch."""
-    rule = _StepRule(t_switch, before, after)
-    bound = max(float(np.abs(rule.before).max(initial=0.0)),
-                float(np.abs(rule.after).max(initial=0.0)))
-    return FeedbackFlow(rule, rule.before, bound)
 
 
 # --------------------------------------------------------------------------

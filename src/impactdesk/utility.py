@@ -317,16 +317,19 @@ def exponential_utility(a: float, c_bound: float | None = None,
 
 
 def build_from_risk_aversion(aversion, c_bound: float,
-                             max_order: int = 6) -> UtilitySpec:
+                             max_order: int | None = None) -> UtilitySpec:
     """Reconstruct a utility from its absolute risk aversion profile.
 
     The profile is validated against [1/c_bound, c_bound] on the table grid;
-    leaving the band raises InvalidRiskAversionError.  u'(0) = 1.
+    leaving the band raises InvalidRiskAversionError.  u'(0) = 1.  The
+    derivative budget defaults to all the profile supports, its order + 2.
     """
     c = float(c_bound)
     if c < 1.0:
         raise InvalidRiskAversionError("aversion band requires c >= 1")
     avail = getattr(aversion, "order", 0) + 2
+    if max_order is None:
+        max_order = avail
     if max_order > avail:
         raise UnsupportedOrderError(
             f"profile supports utility derivatives up to order {avail}")

@@ -64,6 +64,36 @@ def test_check_certifies_exponential_config(tmp_path, capsys):
     assert "certificate" in capsys.readouterr().out
 
 
+# regime 1 needs the aversion's fifth derivative on this desk: (2 + 6)
+# members and stocks, halved, plus one
+SIX_STOCKS = """
+[agents]
+agent = tanh base=2 amplitude=0.5 c=2.5
+agent = exponential aversion=2
+
+[model]
+endowment = linear slope=0.5
+""" + "dividend = tanh\n" * 6
+
+
+def test_check_certifies_a_desk_needing_high_order_smoothness(tmp_path):
+    cfg = write_cfg(tmp_path, SIX_STOCKS)
+    assert run(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "check.txt").read_text().splitlines()
+    assert "regime 1 (local): PASS" in text
+    assert any(ln.startswith("  aversion smoothness (order 5): PASS")
+               for ln in text)
+    assert text[-1] == "certificate: PASS (regime 1, 3)"
+
+
+def test_empty_agent_line_exits_two_with_its_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[agents]\nagent =\n")
+    assert run(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "impactdesk: line 2: agents.agent needs a kind (exponential, tanh, "
+        "sin2), got nothing\n")
+
+
 def test_check_exits_nonzero_without_certificate(tmp_path):
     cfg = write_cfg(tmp_path, NO_CERT)
     assert run(["check", "--config", cfg, "--out", str(tmp_path)]) == 1

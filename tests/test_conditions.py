@@ -59,6 +59,21 @@ def test_exponential_pair_passes_all_three_regimes():
         assert rep.verdict == PASS, str(rep)
 
 
+def test_member_budget_below_the_needed_order_fails_by_name():
+    # regime 1 needs aversion derivatives to order 2 here; a budget of
+    # three utility derivatives declares the aversion's first only
+    desk = agent_set(exponential_utility(2.0),
+                     exponential_utility(2.0, max_order=3))
+    local = check_regime(desk, LIN, 1)
+    assert local.verdict == FAIL
+    assert local.checks[0].detail == (
+        "member(s) [1] declare aversion derivatives only up to order(s) "
+        "[1], below 2")
+    assert local.smoothness is None
+    # the slope bound needs the first derivative only
+    assert check_regime(desk, LIN, 3).verdict == PASS
+
+
 def test_regime_one_uses_the_dimension_linked_order():
     rep = check_regime(EXP_PAIR, LIN, 1)
     assert rep.smoothness_order == smoothness_index(2, 1) == 2

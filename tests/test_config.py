@@ -6,7 +6,7 @@ import pytest
 
 from impactdesk import utility
 from impactdesk.config import ConfigError, parse_config
-from impactdesk.sde import ConstantFlow, FeedbackFlow, ScheduleFlow
+from impactdesk.sde import ConstantFlow, ScheduleFlow
 
 MINIMAL = """
 [agents]
@@ -158,7 +158,10 @@ def test_flow_kinds_build():
     step = parse_config(MINIMAL + "\n[flow]\nkind = step\nswitch = 0.5\n"
                         "before = 0.5\nafter = 20\n")
     flow = step.build_flow()
-    assert isinstance(flow, FeedbackFlow)
+    # a step flow is the two-segment schedule switching at `switch`
+    assert type(flow) is ScheduleFlow
+    assert flow.times.tolist() == [0.0, 0.5]
+    assert flow.positions.tolist() == [[0.5], [20.0]]
     assert flow.local_bound == 20.0
 
 
@@ -367,6 +370,15 @@ EXACT_MESSAGES = [
     (MINIMAL.replace("slope=1", "slop=1", 1),
      "line 8: model.dividend: unknown parameter 'slop' for 'linear'; "
      "did you mean 'slope'?"),
+    ("[agents]\nagent =\n",
+     "line 2: agents.agent needs a kind (exponential, tanh, sin2), "
+     "got nothing"),
+    (MINIMAL.replace("endowment = linear slope=0.5", "endowment =", 1),
+     "line 7: model.endowment needs a kind (linear, sin, cos, tanh, square, "
+     "exp), got nothing"),
+    (MINIMAL.replace("dividend = linear slope=1", "dividend =", 1),
+     "line 8: model.dividend needs a kind (linear, sin, cos, tanh, square, "
+     "exp), got nothing"),
     # [flow]
     (FLOW + "kind = bogus\n",
      "line 11: flow.kind must be constant, schedule, or step, got 'bogus'"),
@@ -392,6 +404,19 @@ EXACT_MESSAGES = [
      "line 12: flow.switch must lie strictly inside (0, 1)"),
     (FLOW + "kind = step\nswitch = 0.5\nbefore = 0.5,1\nafter = 20\n",
      "line 13: flow.before needs 1 entries, got 2"),
+    # a key of another flow kind is refused, not dropped
+    (FLOW + "kind = constant\ntimes = 0,0.5\nswitch = zz\n",
+     "line 12: flow.times belongs to a schedule flow, but flow.kind is "
+     "constant"),
+    (FLOW + "switch = 0.5\n",
+     "line 11: flow.switch belongs to a step flow, but flow.kind is constant"),
+    (FLOW + "position = 0.5\nkind = schedule\ntimes = 0\npositions = 0.5\n",
+     "line 11: flow.position belongs to a constant flow, but flow.kind is "
+     "schedule"),
+    (FLOW + "kind = step\nswitch = 0.5\nbefore = 0.5\nafter = 20\n"
+     "positions = 0.5\n",
+     "line 15: flow.positions belongs to a schedule flow, but flow.kind is "
+     "step"),
     # [sim], [grid], [output]
     (SIM + "dt = -0.5\n", "line 11: sim.dt must be positive and finite"),
     (SIM + "dt = x\n", "line 11: sim.dt must be a number, got 'x'"),

@@ -127,6 +127,34 @@ def test_feedback_flow_requires_bound():
         FeedbackFlow(lambda t, u, b: [0.0], [0.0], local_bound=0.0)
 
 
+def test_constant_and_step_flows_are_schedules():
+    const = ConstantFlow([0.5])
+    assert isinstance(const, ScheduleFlow)
+    assert np.array_equal(const.times, [0.0])
+    assert np.array_equal(const.positions, [[0.5]])
+    assert ConstantFlow(np.zeros(0)).positions.shape == (1, 0)
+    step = step_feedback(0.5, [0.5], [20.0])
+    assert type(step) is ScheduleFlow
+    assert np.array_equal(step.times, [0.0, 0.5])
+    assert np.array_equal(step.positions, [[0.5], [20.0]])
+    assert step.local_bound == 20.0
+    # a zero step is a zero schedule, like a zero constant flow
+    assert step_feedback(0.5, [0.0], [0.0]).local_bound == 0.0
+    with pytest.raises(ValueError, match="must start at 0 and increase"):
+        step_feedback(0.0, [0.5], [20.0])
+
+
+def _lean_against_the_factor(t, utilities, level):
+    """Row-wise feedback: hold less after the factor rises, more after
+    it falls, and less as the first dealer's utility climbs."""
+    lean = 0.5 - 0.25 * np.tanh(level) - 0.05 * np.tanh(utilities[:, 0] + 1)
+    return lean[:, None]
+
+
+# a flow that reads the state; module level, so workers can unpickle it
+LEAN_FLOW = FeedbackFlow(_lean_against_the_factor, [0.5], local_bound=0.8)
+
+
 # --------------------------------------------------------------------------
 # noise bookkeeping
 
@@ -474,29 +502,24 @@ def test_last_step_past_the_threshold_is_an_explosion():
 
 
 @settings(max_examples=8, deadline=None)
-@given(kind=st.sampled_from(["feedback", "schedule"]),
-       t_switch=st.sampled_from([0.25, 0.5, 0.75]),
+@given(t_switch=st.sampled_from([0.25, 0.5, 0.75]),
        after=st.floats(4.0, 40.0), log=st.booleans(), tanh=st.booleans(),
        seed=st.integers(0, 2**16))
 # noise seeds where a late switch in direct coordinates leaves paths that
 # Euler throws far below zero, and which complete
-@example(kind="feedback", t_switch=0.75, after=20.0, log=False, tanh=False,
-         seed=59)
-@example(kind="feedback", t_switch=0.75, after=20.0, log=False, tanh=False,
-         seed=908)
-@example(kind="feedback", t_switch=0.75, after=20.0, log=False, tanh=False,
-         seed=314)
+@example(t_switch=0.75, after=20.0, log=False, tanh=False, seed=59)
+@example(t_switch=0.75, after=20.0, log=False, tanh=False, seed=908)
+@example(t_switch=0.75, after=20.0, log=False, tanh=False, seed=314)
 def test_flows_towards_explosion_stop_every_path_with_a_reason(
-        kind, t_switch, after, log, tanh, seed):
-    # a step-feedback or schedule flow raises the exposure at t_switch
-    # until paths explode mid-run, where the warm-start predictor meets
-    # its largest steps; each path still ends with a recorded reason, the
-    # same on one worker and two.  At dt 2^-5 every path explodes once the
-    # exposure after the switch is 20 or more only for an early switch, or
-    # a mid-run one in log coordinates; after a late switch, or a mid-run
-    # one in direct coordinates, a few paths can complete
-    flow = (step_feedback(t_switch, [0.5], [after]) if kind == "feedback"
-            else ScheduleFlow([0.0, t_switch], [[0.5], [after]]))
+        t_switch, after, log, tanh, seed):
+    # a step flow raises the exposure at t_switch until paths explode
+    # mid-run, where the warm-start predictor meets its largest steps;
+    # each path still ends with a recorded reason, the same on one worker
+    # and two.  At dt 2^-5 every path explodes once the exposure after
+    # the switch is 20 or more only for an early switch, or a mid-run one
+    # in log coordinates; after a late switch, or a mid-run one in direct
+    # coordinates, a few paths can complete
+    flow = step_feedback(t_switch, [0.5], [after])
     cfg = SimulationConfig(dt=2.0**-5, n_paths=6, seed=seed, quadrature_n=8,
                            log_coordinates=log, newton_tol=1e-8)
     runs = []
@@ -575,30 +598,32 @@ def test_repeat_runs_identical():
 def test_worker_count_does_not_change_results(monkeypatch):
     # each worker solves its paths in batches of other sizes than a
     # single worker does; 13 paths also split unevenly (7+6, 5+5+3), and
-    # 6 recorded paths of 13 straddle the first block edge at 3 workers
-    for agents, log in ((EXP_PAIR, True), (TANH_MIX, True),
-                        (TANH_MIX, False)):
-        for n_paths, counts, record in ((12, ("3",), 3),
-                                        (13, ("2", "3"), 3),
-                                        (13, ("3",), 6)):
-            cfg = SimulationConfig(dt=2.0**-4, n_paths=n_paths, seed=42,
-                                   quadrature_n=8, log_coordinates=log)
-            monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
-            solo = run_ensemble(agents, LIN, HALF_FLOW, cfg, cash=1.5,
-                                record=record)
-            for workers in counts:
-                monkeypatch.setenv("IMPACTDESK_WORKERS", workers)
-                split = run_ensemble(agents, LIN, HALF_FLOW, cfg, cash=1.5,
-                                     record=record)
-                assert np.array_equal(solo.terminal_utilities,
-                                      split.terminal_utilities)
-                assert solo.stop_reasons == split.stop_reasons
-                assert len(split.recorded) == record
-                for ra, rb in zip(solo.recorded, split.recorded):
-                    assert np.array_equal(ra.brownian, rb.brownian)
-                    assert np.array_equal(ra.utilities, rb.utilities)
-                    assert np.array_equal(ra.weights, rb.weights)
-                    assert np.array_equal(ra.position, rb.position)
+    # 6 recorded paths of 13 straddle the first block edge at 3 workers;
+    # the feedback flow reads each row's own state, at 1 and 2 workers
+    cases = [(agents, log, HALF_FLOW, splits)
+             for agents, log in ((EXP_PAIR, True), (TANH_MIX, True),
+                                 (TANH_MIX, False))
+             for splits in ((12, ("3",), 3), (13, ("2", "3"), 3),
+                            (13, ("3",), 6))]
+    cases.append((TANH_MIX, False, LEAN_FLOW, (13, ("2",), 6)))
+    for agents, log, flow, (n_paths, counts, record) in cases:
+        cfg = SimulationConfig(dt=2.0**-4, n_paths=n_paths, seed=42,
+                               quadrature_n=8, log_coordinates=log)
+        monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+        solo = run_ensemble(agents, LIN, flow, cfg, cash=1.5, record=record)
+        for workers in counts:
+            monkeypatch.setenv("IMPACTDESK_WORKERS", workers)
+            split = run_ensemble(agents, LIN, flow, cfg, cash=1.5,
+                                 record=record)
+            assert np.array_equal(solo.terminal_utilities,
+                                  split.terminal_utilities)
+            assert solo.stop_reasons == split.stop_reasons
+            assert len(split.recorded) == record
+            for ra, rb in zip(solo.recorded, split.recorded):
+                assert np.array_equal(ra.brownian, rb.brownian)
+                assert np.array_equal(ra.utilities, rb.utilities)
+                assert np.array_equal(ra.weights, rb.weights)
+                assert np.array_equal(ra.position, rb.position)
 
 
 # --------------------------------------------------------------------------
@@ -635,14 +660,18 @@ def _ladder_alone(agents, flow, cfg, dts):
     return init, ladder, chunks, study
 
 
-@pytest.mark.parametrize("agents,flow,dts,log", [
-    (TANH_MIX, HALF_FLOW, [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6], False),
-    (TANH_MIX, HALF_FLOW, [0.2, 1.0 / 15.0], True),
+@pytest.mark.parametrize("agents,flow,dts,log,stops", [
+    (TANH_MIX, HALF_FLOW, [2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6], False, False),
+    (TANH_MIX, HALF_FLOW, [0.2, 1.0 / 15.0], True, False),
     (EXP_PAIR, step_feedback(0.5, [0.5], [6.0]),
-     [2.0**-3, 2.0**-4, 2.0**-5], False),
-], ids=["tanh-dyadic-direct", "tanh-nondyadic-log", "step-feedback-stops"])
+     [2.0**-3, 2.0**-4, 2.0**-5], False, True),
+    (TANH_MIX, LEAN_FLOW, [2.0**-3, 2.0**-4, 2.0**-5], False, False),
+], ids=["tanh-dyadic-direct", "tanh-nondyadic-log", "step-feedback-stops",
+        "tanh-state-feedback"])
 def test_lockstep_ladder_matches_each_level_run_alone(monkeypatch, agents,
-                                                      flow, dts, log):
+                                                      flow, dts, log, stops):
+    # rows of every level due at a step time share one flow call, so the
+    # feedback case also checks that the rule reads each row's own state
     cfg = SimulationConfig(n_paths=6, seed=4, quadrature_n=12,
                            log_coordinates=log, newton_tol=1e-9)
     init, ladder, alone, (errors, means, completed, oracle_mean) = \
@@ -659,17 +688,19 @@ def test_lockstep_ladder_matches_each_level_run_alone(monkeypatch, agents,
     # one solve per distinct step time, compared as floats: on [0.2, 1/15]
     # 3 * 0.2 = 0.6000000000000001 and 9 * (1/15) = 0.6 are two solves
     steps = sorted({k * d for d, inc in ladder for k in range(inc.shape[1])})
-    if flow is HALF_FLOW:
-        assert times == steps
-    else:
+    if stops:
         assert times == sorted(set(times)) and set(times) <= set(steps)
+    else:
+        assert times == steps
     assert lock["terminal"].tobytes() == np.concatenate(
         [c["terminal"] for c in alone]).tobytes()
     assert lock["reasons"] == tuple(r for c in alone for r in c["reasons"])
     assert lock["taus"].tobytes() == np.concatenate(
         [c["taus"] for c in alone]).tobytes()
-    if flow is not HALF_FLOW:
+    if stops:
         assert EXPLOSION in lock["reasons"] and COMPLETED in lock["reasons"]
+    else:
+        assert set(lock["reasons"]) == {COMPLETED}
 
     study = strong_error_study(agents, LIN, flow, cfg, dts, cash=1.5)
     assert study.dts == tuple(sorted(dts, reverse=True))
