@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from .market import LinearPayoff, MarketModel, NamedPayoff, market_model
-from .sde import ConstantFlow, ScheduleFlow, SimulationConfig, step_feedback
+from .sde import (MAX_STEPS, ConstantFlow, ScheduleFlow, SimulationConfig,
+                  step_feedback)
 from .utility import (AgentSet, SinSquareAversion, TanhAversion, agent_set,
                       build_from_risk_aversion, exponential_utility)
 
@@ -187,6 +188,13 @@ def _unless(ok, message: str):
     return lambda value, got: None if ok(value) else message
 
 
+def _check_dt(dt: float, got) -> Optional[str]:
+    if not 0 < dt < math.inf:
+        return "sim.dt must be positive and finite"
+    if not 1.0 / dt <= MAX_STEPS:
+        return f"sim.dt must give at most {MAX_STEPS} steps"
+
+
 class _Key(NamedTuple):
     """One config key: where it sits, how it parses, checks and echoes."""
 
@@ -237,8 +245,7 @@ _KEYS = (
     _Key("flow", "after", "flow_after", None, _per_dividend,
          _fmt_list, flow="step"),
     _Key("sim", "dt", "dt", "0.015625", _parse_float,
-         check=_unless(lambda dt: 0 < dt < math.inf,
-                       "sim.dt must be positive and finite")),
+         check=_check_dt),
     _Key("sim", "paths", "n_paths", "1", _parse_int, str,
          _unless(lambda n: n >= 1, "sim.paths must be at least 1")),
     _Key("sim", "seed", "seed", "0", _parse_int, str,

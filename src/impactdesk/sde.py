@@ -114,6 +114,8 @@ class ScheduleFlow:
         self.positions = np.atleast_2d(np.asarray(positions, dtype=float))
         if self.times.ndim != 1 or self.times.size != self.positions.shape[0]:
             raise ValueError("need one position row per schedule time")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("schedule times must be finite")
         if self.times.size == 0 or self.times[0] != 0.0 \
                 or np.any(np.diff(self.times) <= 0):
             raise ValueError("schedule times must start at 0 and increase")
@@ -184,6 +186,25 @@ class FeedbackFlow:
 # configuration and results
 
 
+# the most Euler steps a run may take over the unit horizon, so dt >=
+# 2**-20: a finer dt would ask for a (paths, steps) noise array past any
+# run's memory, and a dt whose 1/dt overflows has no step count at all
+MAX_STEPS = 2**20
+
+
+def step_count(dt: float) -> int:
+    """Steps of size dt over the unit horizon.  ValueError unless dt lies
+    in (0, 1], gives at most MAX_STEPS steps and divides the horizon."""
+    if not 0.0 < dt <= 1.0:
+        raise ValueError("dt must lie in (0, 1]")
+    steps = 1.0 / dt
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"dt must give at most {MAX_STEPS} steps")
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError("dt must divide the unit horizon evenly")
+    return int(round(steps))
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     dt: float = 2.0**-6
@@ -195,11 +216,7 @@ class SimulationConfig:
     newton_tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= 1.0:
-            raise ValueError("dt must lie in (0, 1]")
-        steps = 1.0 / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("dt must divide the unit horizon evenly")
+        step_count(self.dt)
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
         if not 0 <= self.seed < 2**64:
@@ -211,7 +228,7 @@ class SimulationConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(1.0 / self.dt))
+        return step_count(self.dt)
 
 
 @dataclass(frozen=True)
@@ -686,13 +703,12 @@ def strong_error_study(agents: AgentSet, model: MarketModel, flow,
     """
     dts_desc = sorted((float(d) for d in dts), reverse=True)
     fine = dts_desc[-1]
+    n_fine = step_count(fine)
     for d in dts_desc:
-        if abs(round(1.0 / d) - 1.0 / d) > 1e-9:
-            raise ValueError("every dt must divide the horizon evenly")
+        step_count(d)
         if abs(round(d / fine) - d / fine) > 1e-9:
             raise ValueError(f"dt {d:g} is not a whole multiple of the "
                              f"finest dt {fine:g}")
-    n_fine = int(round(1.0 / fine))
     init = _initial(agents, model, flow, config, weights, cash)
     p = config.n_paths
     fine_inc = brownian_increments(config.seed, 0, p, n_fine, fine)

@@ -505,32 +505,45 @@ class SmoothnessReport:
 def check_smoothness(agents: AgentSet, order: int) -> SmoothnessReport:
     """Grid suprema of |a^(k)|, k = 1..order, over nested symmetric windows.
 
-    The windows have the SMOOTHNESS_RADII, on a grid of SMOOTHNESS_STEP.  A
-    member is flagged as growing when the suprema keep increasing from one
-    radius to the next by more than SMOOTHNESS_RTOL, i.e. the windowed
-    bounds fail to stabilize.
+    The windows have the SMOOTHNESS_RADII, on a grid of SMOOTHNESS_STEP.
+    The grid is sorted, so each window |x| <= r is one slice of it, and
+    each radius's suprema are the last radius's ones carried over the two
+    annuli the window adds.  A constant-aversion member (exponential, or
+    a ConstantAversion profile) is evaluated at one point instead: its
+    aversion and risk tolerance are the same everywhere, so the aversion
+    derivatives' suprema are 0 and the tolerance's are 1/a at order 0
+    and 0 above, on every window.  A member is flagged as growing when
+    the suprema keep increasing from one radius to the next by more than
+    SMOOTHNESS_RTOL, i.e. the windowed bounds fail to stabilize.
     """
     radii, step = SMOOTHNESS_RADII, SMOOTHNESS_STEP
-    big = radii[-1]
-    grid = np.arange(-big, big + step / 2, step)
-    nm = agents.size
-    a_sup = np.zeros((nm, order, len(radii)))
-    t_sup = np.zeros((nm, order + 1, len(radii)))
-    growing = np.zeros(nm, dtype=bool)
-    declared = np.zeros(nm, dtype=bool)
+    grid = np.arange(-radii[-1], radii[-1] + step / 2, step)
+    # |x| <= r + step/2 as slice bounds of the sorted grid
+    windows = [(np.searchsorted(grid, -r - step / 2),
+                np.searchsorted(grid, r + step / 2, side="right"))
+               for r in radii]
+    sups = np.zeros((agents.size, 2 * order + 1, len(radii)))
     for i, spec in enumerate(agents.members):
-        a = risk_aversion(spec, grid, order)
-        t = _reciprocal_derivatives(a, order)
-        for r_idx, r in enumerate(radii):
-            mask = np.abs(grid) <= r + step / 2
-            a_sup[i, :, r_idx] = np.abs(a[1:, mask]).max(axis=1)
-            t_sup[i, :, r_idx] = np.abs(t[:, mask]).max(axis=1)
-        for k in range(order):
-            s = a_sup[i, k]
-            if np.any(s[1:] > s[:-1] * (1.0 + SMOOTHNESS_RTOL) + 1e-12):
-                growing[i] = True
-        if spec.family != "exponential" and getattr(spec.aversion, "bounded", None) is False:
-            declared[i] = True
+        # a constant profile's value at one point stands for every window
+        x, cuts = ((grid[:1], [(0, 1)] * len(radii))
+                   if spec.family == "exponential"
+                   or isinstance(spec.aversion, ConstantAversion)
+                   else (grid, windows))
+        a = risk_aversion(spec, x, order)
+        v = np.abs(np.concatenate([a[1:], _reciprocal_derivatives(a, order)]))
+        # from an empty window at the inner left edge, carry the maximum
+        # over the two annuli each window adds (|values| >= 0, so 0.0 is
+        # the maximum over nothing)
+        run, lo, hi = 0.0, cuts[0][0], cuts[0][0]
+        for r_idx, (new_lo, new_hi) in enumerate(cuts):
+            run = np.maximum(run, v[:, new_lo:lo].max(axis=1, initial=0.0))
+            run = np.maximum(run, v[:, hi:new_hi].max(axis=1, initial=0.0))
+            sups[i, :, r_idx], lo, hi = run, new_lo, new_hi
+    a_sup, t_sup = sups[:, :order], sups[:, order:]
+    growing = np.any(a_sup[..., 1:] > a_sup[..., :-1] * (1.0 + SMOOTHNESS_RTOL)
+                     + 1e-12, axis=(1, 2))
+    declared = np.array([getattr(m.aversion, "bounded", None) is False
+                         for m in agents.members])
     return SmoothnessReport(order=order, radii=radii, aversion_sup=a_sup,
                             tolerance_sup=t_sup, growing=growing,
                             declared_unbounded=declared)

@@ -54,6 +54,20 @@ def read_csv(path):
     return header, data
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name,code", [("exp_pair", 0), ("tanh", 0),
+                                       ("sin2", 1)])
+def test_check_reproduces_the_golden_report(tmp_path, name, code):
+    # the recorded check.txt of each golden config, byte for byte: the
+    # certificate's suprema and moments must not move by one printed digit
+    cfg = os.path.join(GOLDEN, f"{name}.cfg")
+    assert run(["check", "--config", cfg, "--out", str(tmp_path)]) == code
+    with open(os.path.join(GOLDEN, f"{name}.check.txt"), "rb") as fh:
+        assert (tmp_path / "check.txt").read_bytes() == fh.read()
+
+
 def test_check_certifies_exponential_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     assert run(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -262,6 +276,19 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert "sim.dt" in capsys.readouterr().err
     assert run(["check", "--config", str(tmp_path / "missing.cfg"),
                 "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("dt", ["1e-320", "5e-324", "1e-12"])
+def test_dt_beyond_the_step_ceiling_exits_2(tmp_path, capsys, dt):
+    cfg = write_cfg(tmp_path, BASE.replace("dt = 0.03125", f"dt = {dt}"))
+    assert run(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        "impactdesk: line 15: sim.dt must give at most 1048576 steps\n"
+    cfg = write_cfg(tmp_path, BASE)
+    assert run(["check", "--config", cfg, "--out", str(tmp_path),
+                "--dt", dt]) == 2
+    assert capsys.readouterr().err == \
+        "impactdesk: sim.dt must give at most 1048576 steps\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])

@@ -420,6 +420,10 @@ EXACT_MESSAGES = [
     # [sim], [grid], [output]
     (SIM + "dt = -0.5\n", "line 11: sim.dt must be positive and finite"),
     (SIM + "dt = x\n", "line 11: sim.dt must be a number, got 'x'"),
+    # 1/dt is inf for the two smallest, 10**12 steps for the third
+    (SIM + "dt = 1e-320\n", "line 11: sim.dt must give at most 1048576 steps"),
+    (SIM + "dt = 5e-324\n", "line 11: sim.dt must give at most 1048576 steps"),
+    (SIM + "dt = 1e-12\n", "line 11: sim.dt must give at most 1048576 steps"),
     (SIM + "paths = 0\n", "line 11: sim.paths must be at least 1"),
     (SIM + "paths = 1.5\n",
      "line 11: sim.paths must be an integer, got '1.5'"),

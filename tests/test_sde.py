@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from impactdesk import fields, pareto, sde
 from impactdesk.market import LinearPayoff, market_model
 from impactdesk.quadrature import QuadratureRule
-from impactdesk.sde import (COMPLETED, EXPLOSION, INFEASIBLE, ConstantFlow,
+from impactdesk.sde import (COMPLETED, EXPLOSION, INFEASIBLE, MAX_STEPS,
+                            ConstantFlow,
                             EnsembleSummary, FeedbackFlow, ScheduleFlow,
                             SimulationConfig, brownian_increments,
                             coarsen_increments,
@@ -144,6 +145,16 @@ def test_constant_and_step_flows_are_schedules():
         step_feedback(0.0, [0.5], [20.0])
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_schedule_times_must_be_finite(t):
+    # a NaN or infinite switch would hold the first row for the whole
+    # horizon while local_bound reports the second
+    with pytest.raises(ValueError, match="schedule times must be finite"):
+        ScheduleFlow([0.0, t], [[0.5], [20.0]])
+    with pytest.raises(ValueError, match="schedule times must be finite"):
+        step_feedback(t, [0.5], [20.0])
+
+
 def _lean_against_the_factor(t, utilities, level):
     """Row-wise feedback: hold less after the factor rises, more after
     it falls, and less as the first dealer's utility climbs."""
@@ -197,6 +208,14 @@ def test_config_validation():
         SimulationConfig(explosion_eps=-1e-6)
     with pytest.raises(ValueError):
         SimulationConfig(quadrature_n=0)
+
+
+def test_step_count_ceiling():
+    assert SimulationConfig(dt=1.0 / MAX_STEPS).n_steps == MAX_STEPS
+    # 1/dt is 10**12 steps for 1e-12 and inf for the two smallest
+    for dt in (0.5 / MAX_STEPS, 1e-12, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match=f"at most {MAX_STEPS} steps"):
+            SimulationConfig(dt=dt)
 
 
 def test_seed_must_fit_the_noise_key():
@@ -738,4 +757,15 @@ def test_ladder_that_does_not_nest_is_refused_by_name(dts, bad):
     cfg = SimulationConfig(n_paths=2, seed=1, quadrature_n=8)
     with pytest.raises(ValueError, match=f"dt {bad} is not a whole multiple "
                        "of the finest dt 0.2"):
+        strong_error_study(EXP_PAIR, LIN, HALF_FLOW, cfg, dts, cash=1.5)
+
+
+@pytest.mark.parametrize("dts,message", [
+    ([0.25, 1e-320], "at most 1048576 steps"),
+    ([0.25, 1e-12], "at most 1048576 steps"),
+    ([0.25, -0.25], r"dt must lie in \(0, 1\]"),
+    ([0.25, 0.3], "dt must divide the unit horizon evenly")])
+def test_study_ladder_takes_the_config_step_rules(dts, message):
+    cfg = SimulationConfig(n_paths=2, seed=1, quadrature_n=8)
+    with pytest.raises(ValueError, match=message):
         strong_error_study(EXP_PAIR, LIN, HALF_FLOW, cfg, dts, cash=1.5)

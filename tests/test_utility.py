@@ -7,6 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from impactdesk.utility import (
+    SMOOTHNESS_RADII,
+    SMOOTHNESS_RTOL,
+    SMOOTHNESS_STEP,
     AgentSet,
     ConstantAversion,
     InvalidRiskAversionError,
@@ -190,6 +193,47 @@ def test_smoothness_report_flags_growth():
     assert rep.any_growing
     # windowed sup of |a'| keeps pace with the window radius
     assert rep.aversion_sup[0, 0, 2] > 1.5 * rep.aversion_sup[0, 0, 1]
+
+
+def _masked_smoothness(agents, order):
+    """check_smoothness's suprema by brute force: every member on the
+    whole grid, one boolean mask per window."""
+    radii, step = SMOOTHNESS_RADII, SMOOTHNESS_STEP
+    grid = np.arange(-radii[-1], radii[-1] + step / 2, step)
+    nm, nr = agents.size, len(radii)
+    a_sup, t_sup = np.zeros((nm, order, nr)), np.zeros((nm, order + 1, nr))
+    for i, spec in enumerate(agents.members):
+        a = risk_aversion(spec, grid, order)
+        t = _reciprocal_derivatives(a, order)
+        for r_idx, r in enumerate(radii):
+            mask = np.abs(grid) <= r + step / 2
+            a_sup[i, :, r_idx] = np.abs(a[1:, mask]).max(axis=1)
+            t_sup[i, :, r_idx] = np.abs(t[:, mask]).max(axis=1)
+    growing = np.array([any(np.any(s[1:] > s[:-1] * (1.0 + SMOOTHNESS_RTOL)
+                                   + 1e-12) for s in member)
+                        for member in a_sup])
+    declared = np.array([getattr(m.aversion, "bounded", True) is False
+                         for m in agents.members])
+    return a_sup, t_sup, growing, declared
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_smoothness_suprema_match_masked_windows(order):
+    sq = build_from_risk_aversion(SinSquareAversion(2.0, 0.5), c_bound=2.5,
+                                  max_order=5)
+    agents = agent_set(EXP2, CONST2, TANH, TANH_WIDE, sq)
+    rep = check_smoothness(agents, order)
+    want = _masked_smoothness(agents, order)
+    got = (rep.aversion_sup, rep.tolerance_sup, rep.growing,
+           rep.declared_unbounded)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    # the constant members' suprema in closed form: 0 for every aversion
+    # derivative, 1/a for the tolerance and 0 for its derivatives
+    for i in (0, 1):
+        assert np.all(rep.aversion_sup[i] == 0.0)
+        assert np.all(rep.tolerance_sup[i, 0] == 0.5)
+        assert np.all(rep.tolerance_sup[i, 1:] == 0.0)
 
 
 # ---------------------------------------------------------------------------
