@@ -116,12 +116,12 @@ def _smoothness_check(agents: AgentSet, order: int,
     if rep.declared_unbounded.any():
         members = np.flatnonzero(rep.declared_unbounded)
         verdict, detail = FAIL, (
-            f"member(s) {list(members)} declare unbounded aversion "
+            f"member(s) {members.tolist()} declare unbounded aversion "
             f"derivatives")
     elif rep.growing.any():
         members = np.flatnonzero(rep.growing)
         verdict, detail = INCONCLUSIVE, (
-            f"derivative suprema of member(s) {list(members)} keep growing "
+            f"derivative suprema of member(s) {members.tolist()} keep growing "
             f"through radius {rep.radii[-1]:g}")
     else:
         verdict, detail = PASS, (

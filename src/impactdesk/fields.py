@@ -24,11 +24,40 @@ The SDE coefficient row for the dealer system is the integrand's weight
 gradient at the conjugate point on the slope=1 slice.  Every Newton
 residual evaluates the integrand too, so the row comes from the
 evaluation that converged it, together with the cash marginal's
-volatility integrand_x / value_x and the Newton Jacobian there, which
-`sde` uses to predict the next step's warm start.  `coefficient_rows`
-is the one conjugate entry and `ConjugatePoint` its one result, for
-`sde`, `conditions`, the `fields` command and the two raising wrappers
-`solve_conjugate` and `eval_sde_coefficient` alike.
+volatility integrand_x / value_x and the Newton Jacobian there, from
+which `ConjugatePoint.predict` moves the solved point to the next Euler
+step's warm start.  `coefficient_rows` is the one conjugate entry and
+`ConjugatePoint` its one result, for `sde`, `conditions`, the `fields`
+command and the two raising wrappers `solve_conjugate` and
+`eval_sde_coefficient` alike.
+
+The warm start is a predictor-corrector step across Euler steps
+(Allgower & Georg, Numerical Continuation Methods, 1990, ch. 2), and
+the Newton solve is its corrector.  For a frozen book the exact
+solution keeps the weights on one ray: the field marginals at fixed
+(weights, cash) are martingales in (t, B_t), and only the normalisation
+by the cash marginal value_x moves.  value_v is homogeneous of degree 0
+in the weights and value_x of degree 1, so scaling the weights
+renormalises value_x without touching value_v, and a uniform shift of
+the log-weights is exactly the Newton step for the cash residual.  With
+value_x's volatility sigma = integrand_x / value_x, the ray guess after
+a factor move dB over dt is
+
+    weights * exp(sigma^2 dt / 2 - sigma dB),
+
+with the cash left as solved.  This guess moves value_v by the
+log-Euler step of the utilities; in log coordinates that is the step
+taken, so on constant-aversion desks with linear payoffs, where value_x
+is lognormal in the factor and the log-Euler step is exact, the guess
+solves the next step's system to round-off and the solve needs one
+field evaluation.  A direct Euler step lands elsewhere, short of
+value_v's move by a residual drho known in closed form, so there the
+tangent correction moves the guess's (log-weights, cash) by
+-J^{-1} [drho, 0], with J the residual's Jacobian at the solved point;
+on the same desks one field evaluation per step again suffices.  A row
+whose Jacobian is unusable, or whose corrected point leaves the
+positive finite range, keeps the ray guess.  On other desks the
+predictor is first-order and the Newton corrects it.
 
 Faults are per row.  `field_core` flags a row that leaves double
 precision, or has a node with no sharing multiplier, in its `finite`
@@ -101,6 +130,15 @@ class ConjugateInfeasibleError(RuntimeError):
         self.indices = indices if indices is not None else ()
 
 
+def _batch_length(*lengths) -> int:
+    """The one batch length that inputs of these lengths broadcast to."""
+    longer = set(lengths) - {1}
+    if len(longer) > 1:
+        raise ValueError(f"inputs of lengths {sorted(set(lengths))} do not "
+                         "broadcast to one batch")
+    return longer.pop() if longer else 1
+
+
 def _batched(z, v, x, q, n_members: int, n_dividends: int):
     """Coerce inputs to (B,), (B,M), (B,), (B,J) with a common B."""
     v = np.atleast_2d(np.asarray(v, dtype=float))
@@ -117,7 +155,7 @@ def _batched(z, v, x, q, n_members: int, n_dividends: int):
                          f"expected {n_dividends}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    b = max(z.shape[0], x.shape[0], v.shape[0], q.shape[0])
+    b = _batch_length(z.shape[0], x.shape[0], v.shape[0], q.shape[0])
     z = np.broadcast_to(z, (b,))
     x = np.broadcast_to(x, (b,))
     v = np.broadcast_to(v, (b, n_members))
@@ -292,10 +330,11 @@ class ConjugatePoint:
     the cash marginal's volatility there, integrand_x / value_x.
     jacobian is the Newton Jacobian of the log-scaled residual
     (log(-value_v), log(value_x)) in (log-weights, cash) at the
-    evaluation that converged the row, which `sde` uses as a tangent
-    predictor for the next step.  weights, cash, coefficient, sigma and
-    jacobian are nan on rows that did not converge.  level, utilities,
-    slope and position are the checked, broadcast targets.
+    evaluation that converged the row.  sigma and jacobian are what
+    `predict` reads to warm-start the next Euler step's solve.  weights,
+    cash, coefficient, sigma and jacobian are nan on rows that did not
+    converge.  level, utilities, slope and position are the checked,
+    broadcast targets.
     """
 
     t: float
@@ -326,21 +365,58 @@ class ConjugatePoint:
             converged=bool(self.converged[0]),
             iterations=self.iterations)
 
+    def take(self, rows) -> "ConjugatePoint":
+        """The batch's rows selected by an index or mask, in order."""
+        return ConjugatePoint(
+            t=self.t, level=self.level[rows], utilities=self.utilities[rows],
+            slope=self.slope[rows], position=self.position[rows],
+            weights=self.weights[rows], cash=self.cash[rows],
+            coefficient=self.coefficient[rows], sigma=self.sigma[rows],
+            jacobian=self.jacobian[rows], converged=self.converged[rows],
+            iterations=self.iterations)
+
+    def predict(self, db, dt, drho=None):
+        """Warm (weights, cash) for the next Euler step of solved rows.
+
+        db (B,) is each row's factor move and dt (B,) its step (see the
+        module docstring).  Without drho the prediction is the ray guess,
+        which keeps the solved weights where it leaves the positive
+        finite range; drho (B, M), the residual move in log(-value_v) the
+        guess falls short by, adds the tangent correction.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            guess = self.weights * np.exp(
+                0.5 * self.sigma**2 * dt - self.sigma * db)[:, None]
+        fine = ((guess > 0.0) & (guess < np.inf)).all(axis=1)
+        guess = np.where(fine[:, None], guess, self.weights)
+        if drho is None:
+            return guess, self.cash
+        # one Newton step from the solved point's own Jacobian, which is
+        # homogeneous of degree 0 in the weights, so it holds on the ray
+        m = guess.shape[1]
+        rhs = np.zeros((self.cash.size, m + 1))
+        rhs[:, :m] = -drho
+        step, ok = solve_rows(self.jacobian, rhs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = guess * np.exp(step[:, :m])
+            c = self.cash + step[:, m]
+        ok &= ((w > 0.0) & (w < np.inf)).all(axis=1) & np.isfinite(c)
+        return np.where(ok[:, None], w, guess), np.where(ok, c, self.cash)
+
 
 def _targets(agents, model, level, utilities, slope, position):
     """Check the conjugate targets and broadcast them to one batch."""
     u = np.atleast_2d(np.asarray(utilities, dtype=float))
     if np.any(u >= 0):
         raise ValueError("utility targets must be negative")
-    b = u.shape[0]
-    y = np.broadcast_to(np.atleast_1d(np.asarray(slope, dtype=float)), (b,))
+    y = np.atleast_1d(np.asarray(slope, dtype=float))
     if np.any(y <= 0):
         raise ValueError("slope target must be positive")
     z, _, _, q = _batched(level, np.ones(agents.size), 0.0, position,
                           agents.size, model.n_dividends)
-    z = np.broadcast_to(z, (b,)) if z.shape[0] == 1 else z
-    q = np.broadcast_to(q, (b, model.n_dividends)) if q.shape[0] == 1 else q
-    return z, u, y, q
+    b = _batch_length(z.shape[0], u.shape[0], y.shape[0], q.shape[0])
+    return (np.broadcast_to(z, (b,)), np.broadcast_to(u, (b, u.shape[1])),
+            np.broadcast_to(y, (b,)), np.broadcast_to(q, (b, q.shape[1])))
 
 
 def _jacobian(logv, out) -> np.ndarray:
@@ -390,12 +466,13 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     residual evaluation carries the integrand, so a row's weights, cash,
     coefficient, sigma and Jacobian are written once, from the
     evaluation that converged it.  A fault in one row — a non-finite
-    start or field row, a non-finite or singular Jacobian — ends that
-    row unconverged and leaves the others alone; a non-finite
-    line-search trial halves only its own row's step.  A row solved to
-    weights that spread past `pareto.WEIGHT_RATIO_LIMIT`, which
-    `pareto.check_weights` refuses, also comes back unconverged.  The
-    targets come checked and broadcast by `_targets`.
+    start or field row, a non-finite or singular Jacobian, a line search
+    that does not descend in 25 halvings — ends that row unconverged and
+    leaves the others alone; a non-finite line-search trial halves only
+    its own row's step.  A row solved to weights that spread past
+    `pareto.WEIGHT_RATIO_LIMIT`, which `pareto.check_weights` refuses,
+    also comes back unconverged.  The targets come checked and broadcast
+    by `_targets`.
 
     When some member's aversion varies, each residual after the first
     seeds the multiplier solve from the last residual's evaluation (see
@@ -501,6 +578,10 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
             if not worse.any():
                 break
             alpha = np.where(worse, alpha / 2, alpha)
+        # a row still worse after every halving cannot descend (Dennis &
+        # Schnabel, 1983, Alg. A6.3.1): unless its trial meets tol, its
+        # residual goes NaN, which ends it at the next iteration
+        rho[worse & ~(np.abs(rho).max(axis=1) <= tol)] = np.nan
         # the accepted trial's residual doubles as the next iteration's
         logv[active] = trial_v
         cash[active] = trial_c
@@ -534,8 +615,10 @@ def solve_conjugate(agents: AgentSet, model: MarketModel,
                     tol: float = 1e-10) -> ConjugatePoint:
     """Invert the field marginals at one or many states.
 
-    Raises ConjugateInfeasibleError when any point fails to converge —
-    the requested utility levels are unreachable at that state (for the
+    The targets broadcast to one batch; a single utility row whose batch
+    has one row comes back as a single point.  Raises
+    ConjugateInfeasibleError when any point fails to converge — the
+    requested utility levels are unreachable at that state (for the
     dealer system this is how explosion shows up).
     """
     point = coefficient_rows(agents, model, rule, t, level, utilities,
@@ -547,7 +630,8 @@ def solve_conjugate(agents: AgentSet, model: MarketModel,
             f"{point.converged.size} points at t={t:g} after "
             f"{point.iterations} damped Newton steps",
             indices=tuple(int(i) for i in bad))
-    return point.item() if np.asarray(utilities).ndim <= 1 else point
+    single = np.asarray(utilities).ndim <= 1 and point.converged.size == 1
+    return point.item() if single else point
 
 
 def eval_sde_coefficient(agents: AgentSet, model: MarketModel,

@@ -16,36 +16,14 @@ for convergence cross-checks (a sign flip there is clipped to the
 smallest negative double and the path stops on the next explosion
 check).
 
-Each step's conjugate solve starts from a predicted warm point.  For a
-frozen book the exact solution keeps the weights on one ray: the field
-marginals at fixed (weights, cash) are martingales in (t, B_t), and only
-the normalisation by the cash marginal value_x moves.  value_v is
-homogeneous of degree 0 in the weights and value_x of degree 1, so
-scaling the weights renormalises value_x without touching value_v, and
-a uniform shift of the log-weights is exactly the Newton step for the
-cash residual.  The solve reports value_x's volatility sigma =
-integrand_x / value_x, and after the Euler step the warm weights are
+Each step's conjugate solve starts from the warm point that
+`fields.ConjugatePoint.predict` moves the last solve's rows to.  The
+engine hands it each row's factor move and step, and in direct
+coordinates the residual the step falls short of the log-Euler move by,
 
-    weights * exp(sigma^2 dt / 2 - sigma dB),
+    drho = log(-U_k) + A dB - A^2 dt / 2 - log(-U_{k+1}),
 
-with the warm cash left as solved.  This guess moves value_v by the
-log-Euler step; in log coordinates that is the step taken, so on
-constant-aversion desks with linear payoffs, where value_x is lognormal
-in the factor and the log-Euler step of U is exact, the predicted point
-solves the next step's system to round-off and the solve needs one
-field evaluation.  A direct step lands elsewhere, short of value_v's
-move by the residual
-
-    drho_v = log(-U_k) + A dB - A^2 dt / 2 - log(-U_{k+1}),
-
-known in closed form, so there an Euler-Newton tangent predictor
-(Allgower & Georg, Numerical Continuation Methods, 1990, ch. 2) moves
-the warm (log-weights, cash) by -J^{-1} [drho_v, 0], with J the
-residual's Jacobian at the solved point, which the solve reports; on
-the same desks one field evaluation per step again suffices.  A row
-whose Jacobian is unusable, or whose corrected point leaves the
-positive finite range, keeps the ray guess.  On other desks the
-predictor is first-order and the Newton corrects it.
+known in closed form.
 
 A path ends in one of three ways, recorded per path rather than
 raised: it reaches the horizon (completed); some component climbs
@@ -85,8 +63,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import (coefficient_rows, field_core, normalize_weights,
-                     solve_rows)
+from .fields import coefficient_rows, field_core, normalize_weights
 from .market import MarketModel
 from .quadrature import QuadratureRule, degenerate_rule
 from .utility import AgentSet
@@ -364,27 +341,6 @@ def coarsen_increments(fine: np.ndarray, factor: int) -> np.ndarray:
 # engine
 
 
-def _tangent_predictor(weights, cash, jacobian, drho):
-    """Correct a warm (weights, cash) for a residual move drho in value_v.
-
-    One Newton step from the solved point's own Jacobian, -J^{-1} [drho,
-    0], taken in (log-weights, cash).  The Jacobian is homogeneous of
-    degree 0 in the weights, so it holds on the weight ray the guess was
-    moved along.  A row whose Jacobian is non-finite or singular, or
-    whose corrected point leaves the positive finite range, keeps its
-    guess.
-    """
-    m = weights.shape[1]
-    rhs = np.zeros((cash.size, m + 1))
-    rhs[:, :m] = -drho
-    step, ok = solve_rows(jacobian, rhs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = weights * np.exp(step[:, :m])
-        c = cash + step[:, m]
-    ok &= ((w > 0.0) & (w < np.inf)).all(axis=1) & np.isfinite(c)
-    return np.where(ok[:, None], w, weights), np.where(ok, c, cash)
-
-
 def _run_chunk(agents, model, flow, config: SimulationConfig,
                initial: InitialState, ladder: Sequence[tuple],
                record: int = 0) -> dict:
@@ -399,7 +355,7 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
     keep a full trace.
     """
     n_paths = ladder[0][1].shape[0]
-    steps = [int(round(1.0 / d)) for d, _ in ladder]
+    steps = [step_count(d) for d, _ in ladder]
     for (_, inc), n in zip(ladder, steps):
         if inc.shape != (n_paths, n):
             raise ValueError("increment array does not match (paths, steps)")
@@ -407,13 +363,10 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
     dt = np.repeat([d for d, _ in ladder], n_paths)
     n_steps = np.repeat(steps, n_paths)
     n_max = max(steps)
-    if len(ladder) == 1:
-        increments = ladder[0][1]
-    else:
-        # one row per path and level, padded to the finest level's steps
-        increments = np.concatenate([
-            np.pad(inc, ((0, 0), (0, n_max - inc.shape[1])),
-                   constant_values=np.nan) for _, inc in ladder])
+    # one row per path and level, padded to the finest level's steps
+    increments = np.concatenate([
+        np.pad(inc, ((0, 0), (0, n_max - inc.shape[1])),
+               constant_values=np.nan) for _, inc in ladder])
 
     rule = QuadratureRule.gauss_hermite(config.quadrature_n)
     nm = agents.size
@@ -476,73 +429,46 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
         q_full[due] = q_due
 
         exploded = u_due.max(axis=1) > -eps
-        if exploded.any():
-            drop(due[exploded], 1)
-            due = due[~exploded]
-            if due.size == 0:
-                continue
-            u_due = utilities[due]
-            q_due = q_full[due]
-
+        drop(due[exploded], 1)
+        due = due[~exploded]
         rows = coefficient_rows(
-            agents, model, rule, t, level[due], u_due, q_due,
+            agents, model, rule, t, level[due], utilities[due], q_full[due],
             warm=(warm_w[due], warm_c[due]), tol=config.newton_tol)
-        ok = rows.converged
-        weights, cash, coeff, sigma, jac = (rows.weights, rows.cash,
-                                            rows.coefficient, rows.sigma,
-                                            rows.jacobian)
-        del rows
-        if not ok.all():
-            drop(due[~ok], 2)
-            due = due[ok]
-            weights, cash, coeff, sigma, jac = (weights[ok], cash[ok],
-                                                coeff[ok], sigma[ok], jac[ok])
-            if due.size == 0:
-                continue
-            u_due = utilities[due]
-        write(due, weights, cash)
+        drop(due[~rows.converged], 2)
+        due = due[rows.converged]
+        rows = rows.take(rows.converged)
+        if due.size == 0:
+            continue
+        write(due, rows.weights, rows.cash)
 
         h = dt[due]
         db = increments[due, k[due]]
-        vol = coeff / u_due
+        u_due = rows.utilities
+        vol = rows.coefficient / u_due
         log_step = vol * db[:, None] - 0.5 * vol**2 * h[:, None]
+        drho = None
         if config.log_coordinates:
             log_u[due] += log_step
             utilities[due] = -np.exp(log_u[due])
         else:
-            nxt = u_due + coeff * db[:, None]
-            flipped = nxt >= 0.0
-            if flipped.any():
-                # a discrete step overshooting zero is clipped to the
-                # closest representable negative state; the explosion
-                # check records the stop
-                nxt[flipped] = -np.finfo(float).tiny
+            nxt = u_due + rows.coefficient * db[:, None]
+            # a discrete step overshooting zero is clipped to the closest
+            # representable negative state; the explosion check records
+            # the stop
+            nxt[nxt >= 0.0] = -np.finfo(float).tiny
             utilities[due] = nxt
-        level[due] += db
-        # predictor: renormalise the weights by the cash marginal's own
-        # lognormal step; a guess out of range keeps the solved weights
-        with np.errstate(over="ignore", invalid="ignore"):
-            guess = weights * np.exp(0.5 * sigma**2 * h - sigma * db)[:, None]
-        fine = ((guess > 0.0) & (guess < np.inf)).all(axis=1)
-        guess = np.where(fine[:, None], guess, weights)
-        if not config.log_coordinates:
-            # the guess moved value_v by the log step, off the direct
-            # step's target by drho; correct it along the tangent
             drho = np.log(-u_due) + log_step - np.log(-nxt)
-            guess, cash = _tangent_predictor(guess, cash, jac, drho)
-        warm_w[due] = guess
-        warm_c[due] = cash
+        level[due] += db
+        warm_w[due], warm_c[due] = rows.predict(db, h, drho)
         # the warm arrays carry all the next step needs: release the
         # solve's rows before the next solve's field evaluations
-        del weights, cash, coeff, sigma, jac, guess
+        del rows
         k[due] += 1
         live[due] = k[due] < n_steps[due]
         # a row whose last step ends past the threshold has no next step
         # start to catch it: it stops there, at tau 1
         last = due[~live[due]]
-        exploded = last[utilities[last].max(axis=1) > -eps]
-        if exploded.size:
-            drop(exploded, 1)
+        drop(last[utilities[last].max(axis=1) > -eps], 1)
 
     stopped = reasons != 0
     # terminal row, at k_r = n_steps, for traced paths that ran the horizon

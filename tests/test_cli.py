@@ -1,12 +1,14 @@
 """End-to-end CLI runs against temporary config files."""
 
 import os
+import random
+import re
 
 import numpy as np
 import pytest
 
 from impactdesk.cli import run
-from impactdesk.config import parse_config
+from impactdesk.config import ConfigError, parse_config
 
 BASE = """
 [agents]
@@ -66,6 +68,24 @@ def test_check_reproduces_the_golden_report(tmp_path, name, code):
     assert run(["check", "--config", cfg, "--out", str(tmp_path)]) == code
     with open(os.path.join(GOLDEN, f"{name}.check.txt"), "rb") as fh:
         assert (tmp_path / "check.txt").read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("name,command", [
+    ("tanh_log", "simulate"), ("tanh_direct", "simulate"),
+    ("tanh_eps", "simulate"), ("tanh_log", "oracle")])
+def test_engine_reproduces_the_golden_artifacts(tmp_path, monkeypatch, name,
+                                                command):
+    # every file the recorded run wrote, byte for byte: the tanh desk under
+    # a step flow in log and in direct coordinates, a variant whose paths
+    # all stop by explosion, and the error table of the lockstep ladder
+    monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+    cfg = os.path.join(GOLDEN, f"{name}.cfg")
+    assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    golden = os.path.join(GOLDEN, f"{name}.{command}")
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden))
+    for file in os.listdir(golden):
+        with open(os.path.join(golden, file), "rb") as fh:
+            assert (tmp_path / file).read_bytes() == fh.read(), file
 
 
 def test_check_certifies_exponential_config(tmp_path, capsys):
@@ -326,3 +346,76 @@ def test_eps_flag_takes_auto_and_numbers(tmp_path):
         assert run(["check", "--config", cfg, "--out", str(tmp_path),
                     "--eps", flag]) == 0
         assert line in (tmp_path / "config.txt").read_text().splitlines()
+
+
+# values a mutation writes over a key's value or an agent or payoff
+# parameter: edge numbers, non-numbers and lists
+_EDGE_VALUES = ("0", "-0", "-1", "1", "0.5", "3", "257", "1e-12", "1e-320",
+                "5e-324", "1e400", "-1e400", "nan", "inf", "-inf",
+                "18446744073709551616", "", "x", "auto", "1,2", "0.5;0.25",
+                "tanh", "linear")
+# lines a mutation inserts: keys of every flow kind, other agent and
+# payoff families, section headers and malformed lines
+_EXTRA_LINES = ("[flow]", "[sim]", "[bogus]", "kind = step",
+                "kind = schedule", "position = 0.25", "times = 0,0.5",
+                "positions = 0.5; 0.25", "switch = 0.5", "before = 0.5",
+                "after = 0.25", "agent = exponential aversion=0.5 c=3",
+                "agent = tanh base=2 amplitude=0.5 c=2.5",
+                "agent = sin2 base=2 amplitude=0.5 c=2.5",
+                "dividend = sin scale=0.5", "endowment = exp",
+                "coordinates = direct", "eps = 0.6", "weights = 1,2",
+                "dt = 0.25", "quadrature = 1", "no equals sign", "= 1")
+
+
+def _mutate(lines, rng):
+    """One random edit of a config's lines."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    op = rng.randrange(5)
+    if op == 0 and "=" in lines[i]:
+        key = lines[i].partition("=")[0]
+        lines[i] = f"{key}= {rng.choice(_EDGE_VALUES)}"
+    elif op == 1 and re.search(r"\w=", lines[i]):
+        params = list(re.finditer(r"(\w+)=(\S*)", lines[i]))
+        hit = rng.choice(params)
+        lines[i] = (lines[i][:hit.start(2)] + rng.choice(_EDGE_VALUES)
+                    + lines[i][hit.end(2):])
+    elif op == 2:
+        lines.insert(i, rng.choice(_EXTRA_LINES))
+    elif op == 3:
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return lines
+
+
+def test_mutated_configs_parse_build_or_name_their_fault(tmp_path, capsys):
+    # every mutant of BASE either parses, echoes back to itself and
+    # builds, or is refused by a ConfigError that names its line or key;
+    # `check` on a sample exits 0, 1 or 2 and never with a traceback
+    rng = random.Random(20240501)
+    names = re.compile(r"^line \d+: |\b(agents|model|flow|sim|grid|output)"
+                       r"(\.\w+|:)")
+    base = BASE.strip().splitlines()
+    outcomes = {"built": 0, "refused": 0}
+    for n in range(600):
+        lines = base
+        for _ in range(rng.randint(1, 3)):
+            lines = _mutate(lines, rng)
+        text = "\n".join(lines) + "\n"
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            assert names.search(str(exc)), (text, str(exc))
+            outcomes["refused"] += 1
+        else:
+            assert parse_config(cfg.echo()) == cfg, text
+            cfg.build_agents(), cfg.build_model()
+            cfg.build_flow(), cfg.build_sim()
+            outcomes["built"] += 1
+        if n % 50 == 0:
+            path = write_cfg(tmp_path, text, name=f"mutant{n}.cfg")
+            out = str(tmp_path / f"out{n}")
+            assert run(["check", "--config", path, "--out", out]) in (0, 1, 2)
+            assert "Traceback" not in capsys.readouterr().err
+    assert min(outcomes.values()) >= 100, outcomes

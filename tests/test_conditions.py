@@ -104,6 +104,26 @@ def test_growing_aversion_slope_is_flagged():
     assert slope.verdict == FAIL
 
 
+class _UndeclaredSinSquare(SinSquareAversion):
+    """The sin-square profile without its declaration of unbounded
+    derivatives, so only the growing suprema can flag it."""
+
+    bounded = None
+
+
+@pytest.mark.parametrize("profile,phrase", [
+    (SinSquareAversion(2.0, 0.5), "member(s) [1] declare unbounded"),
+    (_UndeclaredSinSquare(2.0, 0.5), "member(s) [1] keep growing")],
+    ids=["declared", "growing"])
+def test_smoothness_detail_lists_plain_member_indices(profile, phrase):
+    # the report prints the member indices as plain ints, not numpy scalars
+    agents = agent_set(exponential_utility(2.0),
+                       build_from_risk_aversion(profile, c_bound=2.5))
+    check = check_regime(agents, LIN, 1).checks[0]
+    assert check.name.startswith("aversion smoothness")
+    assert phrase in check.detail
+
+
 def test_payoff_without_slope_fails_hedging_regime():
     bumpy = market_model(
         endowment=LinearPayoff(0.5),

@@ -374,11 +374,12 @@ def test_seeded_coefficient_rows_match_their_rows_alone(monkeypatch):
     np.testing.assert_allclose(batch.cash, cold.cash, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("fault", ["trial", "singular", "nan"])
+@pytest.mark.parametrize("fault", ["trial", "singular", "nan", "stuck"])
 def test_row_fault_leaves_other_rows_alone(monkeypatch, fault):
     # row 1 gets a fault: its first line-search trial comes back out of
-    # range (as an overflowing field row would), or its first Jacobian is
-    # singular or non-finite; row 0 must be solved as if it were alone
+    # range (as an overflowing field row would), its first Jacobian is
+    # singular or non-finite, or every trial of its line search comes back
+    # finite but worse; row 0 must be solved as if it were alone
     u = np.array([[-0.3, -0.4], [-0.5, -0.2]])
     evaluate = fields.field_core
     residuals = []
@@ -395,14 +396,19 @@ def test_row_fault_leaves_other_rows_alone(monkeypatch, fault):
                 out["value_xv"][1] = 0.0
             elif fault == "nan" and residuals == [2]:
                 out["value_xx"][1] = np.nan
+            elif fault == "stuck" and residuals[1:] and residuals[-1] == 2:
+                out["value_x"][1] = 1e6
         return out
 
     monkeypatch.setattr(fields, "field_core", faulty)
     both = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.4, 0.0, u, [[0.5]])
-    # a bad trial only halves its row's step; a bad Jacobian ends its row
+    # a bad trial only halves its row's step; a bad Jacobian ends its row,
+    # and so does a line search that runs out of halvings, at once
     assert both.converged.tolist() == [True, fault == "trial"]
     alone = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.4, 0.0, u[:1],
                              [[0.5]])
+    if fault == "stuck":
+        assert both.iterations == alone.iterations
     for key in ROW_KEYS:
         got, want = getattr(both, key), getattr(alone, key)
         assert got[0].tobytes() == want[0].tobytes(), key
@@ -561,3 +567,30 @@ def test_target_sign_validation():
     with pytest.raises(ValueError):
         solve_conjugate(EXP_PAIR, FLAT_MARKET, RULE, 0.5, 0.0, (-1.0, -1.0),
                         -2.0)
+
+
+def test_targets_broadcast_to_one_batch():
+    # three levels and one utility row are three targets, each solved as
+    # it would be alone; a single point comes back only for one row
+    levels = [0.1, 0.2, 0.3]
+    rows = coefficient_rows(EXP_PAIR, LIN_MARKET, RULE, 0.5, levels,
+                            [-1.0, -1.0], [[0.5]])
+    assert rows.level.tolist() == levels
+    assert rows.utilities.shape == (3, 2) and rows.converged.all()
+    for i, z in enumerate(levels):
+        one = coefficient_rows(EXP_PAIR, LIN_MARKET, RULE, 0.5, z,
+                               [-1.0, -1.0], [[0.5]])
+        assert rows.weights[i].tobytes() == one.weights[0].tobytes()
+    point = solve_conjugate(EXP_PAIR, LIN_MARKET, RULE, 0.5, levels,
+                            [-1.0, -1.0], 1.0, [[0.5]])
+    assert point.weights.tobytes() == rows.weights.tobytes()
+    single = solve_conjugate(EXP_PAIR, LIN_MARKET, RULE, 0.5, 0.2,
+                             [-1.0, -1.0], 1.0, [[0.5]])
+    assert single.level == 0.2
+    assert single.weights.tobytes() == rows.weights[1].tobytes()
+    with pytest.raises(ValueError, match="do not broadcast"):
+        coefficient_rows(EXP_PAIR, LIN_MARKET, RULE, 0.5, levels,
+                         -np.ones((2, 2)), [[0.5]])
+    with pytest.raises(ValueError, match="do not broadcast"):
+        solve_conjugate(EXP_PAIR, LIN_MARKET, RULE, 0.5, 0.0,
+                        -np.ones((3, 2)), [1.0, 1.0], [[0.5]])
