@@ -24,7 +24,7 @@ from .conditions import PASS, check_all_regimes
 from .config import ConfigError, ExperimentConfig, load_config, parse_eps
 from .fields import FieldRangeError, coefficient_rows, field_core
 from .quadrature import QuadratureRule
-from .sde import run_ensemble, strong_error_study
+from .sde import run_ensemble, step_count, strong_error_study
 
 ORACLE_LEVELS = 4   # dt ladder 8dt, 4dt, 2dt, dt for the error table
 
@@ -153,8 +153,7 @@ def _run_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
 def _run_oracle(cfg: ExperimentConfig, out_dir: str) -> int:
     agents, model = cfg.build_agents(), cfg.build_model()
     flow, sim = cfg.build_flow(), cfg.build_sim()
-    steps = int(round(1.0 / cfg.dt))
-    if steps % 2 ** (ORACLE_LEVELS - 1):
+    if step_count(cfg.dt) % 2 ** (ORACLE_LEVELS - 1):
         raise ConfigError(
             f"sim.dt must leave 1/dt divisible by "
             f"{2 ** (ORACLE_LEVELS - 1)} for the {ORACLE_LEVELS}-level "

@@ -191,14 +191,10 @@ def check_regime(agents: AgentSet, model: MarketModel,
             smoothness_order=order)
 
     if which == 2:
-        if agents.all_exponential:
-            fam = Check("constant aversion family", PASS,
-                        "every member has constant absolute risk aversion")
-        else:
-            other = [i for i, s in enumerate(agents.members)
-                     if s.family != "exponential"]
-            fam = Check("constant aversion family", FAIL,
-                        f"member(s) {other} are not constant-aversion")
+        other = [i for i, s in enumerate(agents.members) if not s.constant]
+        fam = Check("constant aversion family", FAIL if other else PASS,
+                    f"member(s) {other} are not constant-aversion" if other
+                    else "every member has constant absolute risk aversion")
         im_check, im = _integrability_check(model, agents, "exponential")
         return ConditionReport(
             regime=2, regime_name=REGIME_NAMES[2],

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from .market import LinearPayoff, MarketModel, NamedPayoff, market_model
-from .sde import (MAX_STEPS, ConstantFlow, ScheduleFlow, SimulationConfig,
+from .sde import (ConstantFlow, ScheduleFlow, SimulationConfig, step_count,
                   step_feedback)
 from .utility import (AgentSet, SinSquareAversion, TanhAversion, agent_set,
                       build_from_risk_aversion, exponential_utility)
@@ -191,8 +191,10 @@ def _unless(ok, message: str):
 def _check_dt(dt: float, got) -> Optional[str]:
     if not 0 < dt < math.inf:
         return "sim.dt must be positive and finite"
-    if not 1.0 / dt <= MAX_STEPS:
-        return f"sim.dt must give at most {MAX_STEPS} steps"
+    try:
+        step_count(dt)
+    except ValueError as exc:
+        return f"sim.{exc}"
 
 
 class _Key(NamedTuple):
@@ -481,9 +483,6 @@ def _validate(cfg: ExperimentConfig):
             message = row.check(got[row.field], got)
             if message:
                 raise ConfigError(message)
-    steps = 1.0 / cfg.dt
-    if abs(round(steps) - steps) > 1e-9:
-        raise ConfigError("sim.dt must divide the unit horizon evenly")
     # eagerly build everything so a bad config never reaches a run
     for key, build in (("agents.agent", cfg.build_agents),
                        ("model", cfg.build_model),

@@ -73,9 +73,9 @@ solved, the solve keeps the last residual's rows, log-weights, cash and
 state as they are, and `pareto.predict_log_multiplier` steps that state
 to the next residual's point.  With the multiplier's Halley step this
 takes the tanh desk's multiplier solve from 4 residual evaluations per
-call to about 2.2.  Constant-aversion desks skip it: the multiplier's
-closed-form seed is already exact there, and keeping the state would
-only cost memory.
+call to about 2.2.  Desks whose members are all in closed form skip it:
+the multiplier's closed-form seed is already exact there, and keeping
+the state would only cost memory.
 
 `field_core` hands `pareto.sharing_planes` one weight row per state, not
 one per node, and gets the share partials back as a single (K, B, n)
@@ -474,10 +474,11 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     also comes back unconverged.  The targets come checked and broadcast
     by `_targets`.
 
-    When some member's aversion varies, each residual after the first
-    seeds the multiplier solve from the last residual's evaluation (see
-    the module docstring).  A residual's rows are an in-order subset of
-    the last one's, so `np.searchsorted` finds each row's last state.
+    When some member is reconstructed from tables, each residual after
+    the first seeds the multiplier solve from the last residual's
+    evaluation (see the module docstring).  A residual's rows are an
+    in-order subset of the last one's, so `np.searchsorted` finds each
+    row's last state.
     """
     z, u, y, q = level, utilities, slope, position
     b, m = u.shape
@@ -487,8 +488,9 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
         cash = np.broadcast_to(
             np.atleast_1d(np.asarray(c0, dtype=float)), (b,)).copy()
     else:
-        # constant-aversion guess: exact when every member is exponential
-        # and payoffs vanish, close enough to land in the Newton basin
+        # constant-aversion guess: exact when every member has constant
+        # aversion and payoffs vanish, close enough to land in the Newton
+        # basin
         a0 = agents.aversion_at_zero
         with np.errstate(over="ignore", divide="ignore"):
             v0 = -y[:, None] / (a0 * u)

@@ -14,13 +14,13 @@ curvature, and it is the Newton step bit for bit where every member has
 constant aversion.  The aversion band [1/c, c] bounds the slope of the
 aggregate response away from zero and infinity, which yields an
 a-priori bracket around any initial guess.  Each point starts from the
-constant-aversion seed, which is exact when every member is exponential,
-or from a per-point seed its caller predicts: `sharing_planes` returns
-the multiplier state (l, t_m / T, T) it solved, and
-`predict_log_multiplier` steps that state to first order to nearby
-weights and wealth, which on desks whose aversion varies starts points
-much closer to their roots (`fields` seeds each conjugate residual from
-the row's last evaluation this way).
+constant-aversion seed, which is exact when every member has constant
+aversion, or from a per-point seed its caller predicts:
+`sharing_planes` returns the multiplier state (l, t_m / T, T) it
+solved, and `predict_log_multiplier` steps that state to first order
+to nearby weights and wealth, which on desks whose aversion varies
+starts points much closer to their roots (`fields` seeds each
+conjugate residual from the row's last evaluation this way).
 Only the points left open by the first residual get brackets, and
 points that meet their tolerance are frozen while the rest iterate, so
 each point's result is the same whatever batch it is solved in; a point
@@ -35,15 +35,17 @@ second- and third-order structure.
 points per partial and member component, all in one stack that a caller
 can reduce in a single pass (`fields` sums it over quadrature nodes).
 Every second-order plane is built from lam * t_m and t_n / T with
-T = sum_m t_m.  A constant-aversion member's t_m is one number rather
-than an array of one value, and T is one number when every member has
-constant aversion.  Weights keep their own shape, so one weight row per
-row of points costs one row, not one value per point.
+T = sum_m t_m.  A member in closed form (no tables; see `utility`) has
+a t_m of one number rather than an array of one value, and T is one
+number when every member is in closed form.  Weights keep their own
+shape, so one weight row per row of points costs one row, not one
+value per point.
 `sharing_derivatives` is the same math with the member axes stacked last,
 bit for bit.
 
-The constant-aversion (exponential) family admits closed forms which the
-tests use as an oracle for the generic numerical path.
+A desk of constant-aversion members admits a closed-form sharing point,
+`exponential_point`, which the tests use as an oracle for the generic
+numerical path.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
             None if seed is None else np.reshape(seed, 1))
         return l.reshape(()), [xm.reshape(()) for xm in xhat]
     t0 = 1.0 / agents.aversion_at_zero
-    # constant-aversion proxy: exact for exponential members, a good seed
-    # otherwise
+    # constant-aversion proxy: exact for constant-aversion members, a good
+    # seed otherwise
     l = 0.0
     for m in range(nm):
         l = l + t0[m] * logv[..., m]
@@ -194,13 +196,13 @@ def _halley_step(members, xhat, rows, psi):
     """The multiplier step at the open rows (see `_solve_log_multiplier`).
 
     a' comes from each member's aversion profile, so the step needs no
-    derivative budget beyond the utility's second; a constant-aversion
-    member adds one number to S and nothing to Q.
+    derivative budget beyond the utility's second; a member in closed
+    form adds one number to S and nothing to Q.
     """
     slope = curve = 0.0
     for spec, xm in zip(members, xhat):
-        if spec.family == "exponential":
-            slope = slope + 1.0 / spec.coefficient
+        if spec.tables is None:
+            slope = slope + 1.0 / spec.aversion.level
             continue
         a, da = spec.aversion.derivatives(xm[rows], 1)
         t = 1.0 / a
@@ -211,10 +213,9 @@ def _halley_step(members, xhat, rows, psi):
 
 
 def _aversion(spec, x, order: int = 0):
-    """risk_aversion at x; for a constant-aversion member one value per
+    """risk_aversion at x; for a member in closed form one value per
     derivative instead of a full array of one value."""
-    return risk_aversion(spec, 0.0 if spec.family == "exponential" else x,
-                         order)
+    return risk_aversion(spec, 0.0 if spec.tables is None else x, order)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +274,9 @@ def sharing_planes(agents: AgentSet, v: np.ndarray, x: np.ndarray,
 
     The partials follow from the risk tolerances t_m at the allocation
     and their sum T: every plane of order 2 is built from lam * t_m and
-    t_n / T, one pair of factors per member.  A constant-aversion member's
-    t_m is a single number, and so is T when every member has constant
-    aversion.
+    t_n / T, one pair of factors per member.  A member in closed form has
+    a t_m of a single number, and T is one too when every member is in
+    closed form.
 
     seed is an optional starting log-multiplier per point, as
     `_solve_log_multiplier` takes it.  Returns a dict with keys
@@ -336,11 +337,11 @@ def predict_log_multiplier(state, rows, dlogv, dx):
 
     state is (log_multiplier, tolerance_share, tolerance) as
     `sharing_planes` returns them at order 2 for points with one weight
-    row per row of points, on a desk where some member's aversion varies
-    (so every entry is an array over the points); rows picks the rows to
-    predict.  The first-order conditions move each point's log-multiplier
-    by the log-weight move dlogv (R, M) of its row and the wealth move
-    dx (R,) shared by its row's points to
+    row per row of points, on a desk where some member is reconstructed
+    from tables (so every entry is an array over the points); rows
+    picks the rows to predict.  The first-order conditions move each
+    point's log-multiplier by the log-weight move dlogv (R, M) of its
+    row and the wealth move dx (R,) shared by its row's points to
 
         l + sum_m (t_m / T) dlogv_m - dx / T,
 

@@ -348,10 +348,11 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
 
     The noise is a `ladder` of (dt, increments) levels, each increments
     of shape (P, 1/dt) for the block's P paths; level i's paths are rows
-    i*P to (i+1)*P - 1, stepping at the level's dt, and the results come
-    back in that level-major order.  Each pass steps the rows due at the
-    earliest pending step time (see the module docstring); stops record
-    the row's own step k_r and tau k_r * dt_r.  The first `record` rows
+    i*P to (i+1)*P - 1, stepping at the level's dt and reading the
+    level's own array in place, and the results come back in that
+    level-major order.  Each pass steps the rows due at the earliest
+    pending step time (see the module docstring); stops record the
+    row's own step k_r and tau k_r * dt_r.  The first `record` rows
     keep a full trace.
     """
     n_paths = ladder[0][1].shape[0]
@@ -363,10 +364,6 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
     dt = np.repeat([d for d, _ in ladder], n_paths)
     n_steps = np.repeat(steps, n_paths)
     n_max = max(steps)
-    # one row per path and level, padded to the finest level's steps
-    increments = np.concatenate([
-        np.pad(inc, ((0, 0), (0, n_max - inc.shape[1])),
-               constant_values=np.nan) for _, inc in ladder])
 
     rule = QuadratureRule.gauss_hermite(config.quadrature_n)
     nm = agents.size
@@ -442,7 +439,12 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
         write(due, rows.weights, rows.cash)
 
         h = dt[due]
-        db = increments[due, k[due]]
+        # row r is path r % P of level r // P
+        rung, path = np.divmod(due, n_paths)
+        db = np.empty(due.size)
+        for i, (_, inc) in enumerate(ladder):
+            at = rung == i
+            db[at] = inc[path[at], k[due[at]]]
         u_due = rows.utilities
         vol = rows.coefficient / u_due
         log_step = vol * db[:, None] - 0.5 * vol**2 * h[:, None]
@@ -503,13 +505,11 @@ def _run_chunk(agents, model, flow, config: SimulationConfig,
 
 
 def simulate_path(agents: AgentSet, model: MarketModel, flow,
-                  config: SimulationConfig, initial: InitialState,
-                  path_index: int = 0,
-                  increments: Optional[np.ndarray] = None) -> PathResult:
-    """Run one path with a full trace."""
-    if increments is None:
-        increments = brownian_increments(config.seed, path_index, 1,
-                                         config.n_steps, config.dt)
+                  config: SimulationConfig,
+                  initial: InitialState) -> PathResult:
+    """Run path 0 of config.seed with a full trace."""
+    increments = brownian_increments(config.seed, 0, 1, config.n_steps,
+                                     config.dt)
     chunk = _run_chunk(agents, model, flow, config, initial,
                        [(config.dt, increments)], record=1)
     return chunk["recorded"][0]

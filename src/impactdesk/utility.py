@@ -3,16 +3,18 @@
 Each market maker carries a utility u on the real line that is strictly
 increasing, strictly concave, tends to 0 at +infinity, and whose absolute
 risk aversion a(x) = -u''(x)/u'(x) stays inside [1/c, c] for a shared
-constant c >= 1.  Two families are supported:
+constant c >= 1.  Every member carries its aversion profile a(.), and
+is held one of two ways:
 
-* ``exponential``: u(x) = -exp(-a*x)/a, constant risk aversion a.  All
+* in closed form (``exponential_utility``, ``tables`` None): the profile
+  is a ``ConstantAversion`` of level a, u(x) = -exp(-a*x)/a, and all
   derivatives are closed form.
-* ``risk_aversion``: the utility is reconstructed from a prescribed
-  aversion profile a(.) by integrating
+* reconstructed (``build_from_risk_aversion``): the utility is rebuilt
+  from the profile by integrating
       u'(x) = exp(-int_0^x a(s) ds),   u(x) = -int_x^inf u'(s) ds,
   which pins the normalization u'(0) = 1.
 
-For the reconstructed family the integrated aversion I(x) = int_0^x a is
+For a reconstructed member the integrated aversion I(x) = int_0^x a is
 cached on a dense uniform grid and interpolated with a monotone cubic
 Hermite scheme whose node slopes are the analytic a(x); the improper
 integral defining u is completed beyond a cutoff with the one-term
@@ -293,14 +295,19 @@ def _build_tables(aversion) -> _Tables:
 
 @dataclass(frozen=True, eq=False)
 class UtilitySpec:
-    """One dealer's utility: family, validity bound, derivative budget."""
+    """One dealer's utility: aversion profile, validity bound, derivative
+    budget, and the tables of a reconstructed member (None in closed
+    form, where the profile is a ConstantAversion)."""
 
-    family: str
     c_bound: float
     max_derivative_order: int
-    coefficient: float | None = None
-    aversion: object | None = None
+    aversion: object
     tables: _Tables | None = field(default=None, repr=False)
+
+    @property
+    def constant(self) -> bool:
+        """Whether the aversion is constant, in closed form or not."""
+        return isinstance(self.aversion, ConstantAversion)
 
 
 def exponential_utility(a: float, c_bound: float | None = None,
@@ -312,8 +319,8 @@ def exponential_utility(a: float, c_bound: float | None = None,
     if not (1.0 / c <= a <= c):
         raise InvalidRiskAversionError(
             f"coefficient {a:g} outside [1/c, c] for c={c:g}")
-    return UtilitySpec(family="exponential", c_bound=c,
-                       max_derivative_order=max_order, coefficient=float(a))
+    return UtilitySpec(c_bound=c, max_derivative_order=max_order,
+                       aversion=ConstantAversion(a))
 
 
 def build_from_risk_aversion(aversion, c_bound: float,
@@ -341,9 +348,8 @@ def build_from_risk_aversion(aversion, c_bound: float,
             f"(range [{tables.a_nodes.min():g}, {tables.a_nodes.max():g}])")
     if not (np.all(tables.u_nodes < 0.0) and np.all(np.diff(tables.u_nodes) > 0.0)):
         raise InvalidRiskAversionError("reconstructed utility is not negative increasing")
-    return UtilitySpec(family="risk_aversion", c_bound=c,
-                       max_derivative_order=max_order, aversion=aversion,
-                       tables=tables)
+    return UtilitySpec(c_bound=c, max_derivative_order=max_order,
+                       aversion=aversion, tables=tables)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +377,8 @@ class AgentSet:
 
     @cached_property
     def all_exponential(self) -> bool:
-        return all(m.family == "exponential" for m in self.members)
+        """Whether every member is in closed form (has no tables)."""
+        return all(m.tables is None for m in self.members)
 
 
 def agent_set(*specs: UtilitySpec) -> AgentSet:
@@ -393,23 +400,23 @@ def _check_order(spec: UtilitySpec, order: int):
 def log_marginal(spec: UtilitySpec, x) -> np.ndarray:
     """log u'(x); the reconstruction makes this exactly -I(x)."""
     x = np.asarray(x, dtype=float)
-    if spec.family == "exponential":
-        return -spec.coefficient * x
+    if spec.tables is None:
+        return -spec.aversion.level * x
     return -spec.tables.integrated(x)
 
 
 def inverse_log_marginal(spec: UtilitySpec, w) -> np.ndarray:
     """Solve log u'(x) = w for x; u' is a decreasing bijection onto (0, inf)."""
     w = np.asarray(w, dtype=float)
-    if spec.family == "exponential":
-        return -w / spec.coefficient
+    if spec.tables is None:
+        return -w / spec.aversion.level
     return spec.tables.inverse_integrated(-w)
 
 
 def utility_value(spec: UtilitySpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if spec.family == "exponential":
-        a = spec.coefficient
+    if spec.tables is None:
+        a = spec.aversion.level
         return -np.exp(-a * x) / a
     return spec.tables.value(x, spec.aversion)
 
@@ -417,7 +424,7 @@ def utility_value(spec: UtilitySpec, x) -> np.ndarray:
 def eval_utility(spec: UtilitySpec, x, order: int = 0) -> np.ndarray:
     """u and derivatives up to ``order``; shape (order+1,) + shape(x).
 
-    Derivatives of the reconstructed family follow from u' = exp(w) with
+    Derivatives of a reconstructed member follow from u' = exp(w) with
     w = -I(x): the k-th derivative of u' is u' times the complete Bell
     polynomial in (w', ..., w^(k)), and w^(j) = -a^(j-1).
     """
@@ -427,8 +434,8 @@ def eval_utility(spec: UtilitySpec, x, order: int = 0) -> np.ndarray:
     out[0] = utility_value(spec, x)
     if order == 0:
         return out
-    if spec.family == "exponential":
-        a = spec.coefficient
+    if spec.tables is None:
+        a = spec.aversion.level
         up = np.exp(-a * x)
         for k in range(1, order + 1):
             out[k] = (-a) ** (k - 1) * up
@@ -454,11 +461,6 @@ def risk_aversion(spec: UtilitySpec, x, order: int = 0) -> np.ndarray:
         raise UnsupportedOrderError(
             f"aversion order {order} exceeds budget "
             f"{spec.max_derivative_order - 2}")
-    x = np.asarray(x, dtype=float)
-    if spec.family == "exponential":
-        out = np.zeros((order + 1,) + x.shape)
-        out[0] = spec.coefficient
-        return out
     return spec.aversion.derivatives(x, order)
 
 
@@ -508,8 +510,8 @@ def check_smoothness(agents: AgentSet, order: int) -> SmoothnessReport:
     The windows have the SMOOTHNESS_RADII, on a grid of SMOOTHNESS_STEP.
     The grid is sorted, so each window |x| <= r is one slice of it, and
     each radius's suprema are the last radius's ones carried over the two
-    annuli the window adds.  A constant-aversion member (exponential, or
-    a ConstantAversion profile) is evaluated at one point instead: its
+    annuli the window adds.  A constant-aversion member (`constant`, in
+    closed form or not) is evaluated at one point instead: its
     aversion and risk tolerance are the same everywhere, so the aversion
     derivatives' suprema are 0 and the tolerance's are 1/a at order 0
     and 0 above, on every window.  A member is flagged as growing when
@@ -525,9 +527,7 @@ def check_smoothness(agents: AgentSet, order: int) -> SmoothnessReport:
     sups = np.zeros((agents.size, 2 * order + 1, len(radii)))
     for i, spec in enumerate(agents.members):
         # a constant profile's value at one point stands for every window
-        x, cuts = ((grid[:1], [(0, 1)] * len(radii))
-                   if spec.family == "exponential"
-                   or isinstance(spec.aversion, ConstantAversion)
+        x, cuts = ((grid[:1], [(0, 1)] * len(radii)) if spec.constant
                    else (grid, windows))
         a = risk_aversion(spec, x, order)
         v = np.abs(np.concatenate([a[1:], _reciprocal_derivatives(a, order)]))

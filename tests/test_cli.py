@@ -72,12 +72,15 @@ def test_check_reproduces_the_golden_report(tmp_path, name, code):
 
 @pytest.mark.parametrize("name,command", [
     ("tanh_log", "simulate"), ("tanh_direct", "simulate"),
-    ("tanh_eps", "simulate"), ("tanh_log", "oracle")])
+    ("tanh_eps", "simulate"), ("tanh_log", "oracle"),
+    ("exp_pair", "simulate"), ("exp_pair", "fields"), ("tanh", "fields")])
 def test_engine_reproduces_the_golden_artifacts(tmp_path, monkeypatch, name,
                                                 command):
     # every file the recorded run wrote, byte for byte: the tanh desk under
     # a step flow in log and in direct coordinates, a variant whose paths
-    # all stop by explosion, and the error table of the lockstep ladder
+    # all stop by explosion, the error table of the lockstep ladder, a path
+    # of the closed-form exponential pair, and the field grids of that pair
+    # and of the mixed tanh desk
     monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
     cfg = os.path.join(GOLDEN, f"{name}.cfg")
     assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 0

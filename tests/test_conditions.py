@@ -8,9 +8,12 @@ from impactdesk.conditions import (FAIL, INCONCLUSIVE, PASS, check_all_regimes,
                                    smoothness_index)
 from impactdesk.market import (CustomPayoff, LinearPayoff, NamedPayoff,
                                market_model)
+from impactdesk import utility
 from impactdesk.quadrature import QuadratureRule
-from impactdesk.utility import (SinSquareAversion, TanhAversion, agent_set,
-                                build_from_risk_aversion, exponential_utility)
+from impactdesk.utility import (ConstantAversion, SinSquareAversion,
+                                TanhAversion, agent_set,
+                                build_from_risk_aversion, check_smoothness,
+                                exponential_utility)
 
 EXP_PAIR = agent_set(exponential_utility(2.0), exponential_utility(2.0))
 TANH_MIX = agent_set(
@@ -88,6 +91,37 @@ def test_regime_two_rejects_state_dependent_aversion():
     fam = [c for c in rep.checks if "family" in c.name][0]
     assert fam.verdict == FAIL
     assert "0" in fam.detail
+
+
+# a constant-aversion member reconstructed from tables, not in closed form
+CONST_TABLE = build_from_risk_aversion(ConstantAversion(2.0), c_bound=2.0)
+
+
+def test_regime_two_accepts_a_table_built_constant_member():
+    # constancy is the profile's, however the member is held
+    rep = check_regime(agent_set(CONST_TABLE, exponential_utility(2.0)),
+                       LIN, 2)
+    assert rep.verdict == PASS, str(rep)
+
+
+def test_smoothness_and_regime_two_agree_on_constant_members(monkeypatch):
+    # the smoothness suprema evaluate each constant member at one point,
+    # and regime 2 names every other member
+    desk = agent_set(CONST_TABLE, exponential_utility(2.0),
+                     build_from_risk_aversion(TanhAversion(2.0, 0.5),
+                                              c_bound=2.5))
+    aversion, sizes = utility.risk_aversion, []
+
+    def spied(spec, x, order=0):
+        sizes.append(np.size(x))
+        return aversion(spec, x, order)
+
+    monkeypatch.setattr(utility, "risk_aversion", spied)
+    check_smoothness(desk, 2)
+    assert [i for i, n in enumerate(sizes) if n == 1] == [0, 1]
+    fam = check_regime(desk, LIN, 2).checks[0]
+    assert fam.verdict == FAIL
+    assert fam.detail == "member(s) [2] are not constant-aversion"
 
 
 def test_tanh_mix_passes_slope_regime():

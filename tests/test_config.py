@@ -331,7 +331,7 @@ def test_parse_override_and_run_share_one_agent_build(monkeypatch):
         "agent = tanh base=1.5 amplitude=0.375 c=2.5")
     cfg = parse_config(text).override(seed=4, paths=3)
     agents = cfg.build_agents()
-    assert [spec.family for spec in agents.members] == ["risk_aversion"] * 2
+    assert all(spec.tables is not None for spec in agents.members)
     assert len(built) == 2
 
 
@@ -424,6 +424,9 @@ EXACT_MESSAGES = [
     (SIM + "dt = 1e-320\n", "line 11: sim.dt must give at most 1048576 steps"),
     (SIM + "dt = 5e-324\n", "line 11: sim.dt must give at most 1048576 steps"),
     (SIM + "dt = 1e-12\n", "line 11: sim.dt must give at most 1048576 steps"),
+    (SIM + "dt = 2\n", "line 11: sim.dt must lie in (0, 1]"),
+    (SIM + "dt = 0.3\n",
+     "line 11: sim.dt must divide the unit horizon evenly"),
     (SIM + "paths = 0\n", "line 11: sim.paths must be at least 1"),
     (SIM + "paths = 1.5\n",
      "line 11: sim.paths must be an integer, got '1.5'"),
@@ -447,7 +450,6 @@ EXACT_MESSAGES = [
     (MINIMAL + "\n[output]\nprecision = 2\n",
      "line 11: output.precision must lie in [3, 17]"),
     # cross-field checks and wrapped builder errors carry no line
-    (SIM + "dt = 0.3\n", "sim.dt must divide the unit horizon evenly"),
     (FLOW + "kind = schedule\ntimes = 0.5,0.25\npositions = 0.5; 1\n",
      "flow: schedule times must start at 0 and increase"),
     (MINIMAL.replace("exponential aversion=2",

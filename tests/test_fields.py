@@ -18,11 +18,12 @@ from impactdesk.fields import (
     normalize_weights,
     solve_conjugate,
 )
-from impactdesk.market import LinearPayoff, market_model
+from impactdesk.market import LinearPayoff, NamedPayoff, market_model
 from impactdesk.pareto import (WEIGHT_RATIO_LIMIT, pareto_point,
                                sharing_derivatives)
 from impactdesk.quadrature import QuadratureRule, degenerate_rule
 from impactdesk.utility import (
+    ConstantAversion,
     TanhAversion,
     agent_set,
     build_from_risk_aversion,
@@ -208,6 +209,26 @@ def test_conjugate_warm_start_converges_fast():
                          warm=(c1.weights, c1.cash))
     assert c2.iterations <= 2
     assert np.allclose(c2.weights, c1.weights, rtol=1e-10)
+
+
+def test_table_built_constant_desk_seeds_its_newton_steps():
+    # every member has constant aversion but is held in tables: the solve
+    # keeps the multiplier state, as arrays over the nodes, and seeds each
+    # residual after the first from it; a warm start off the root under a
+    # non-linear endowment needs such residuals
+    desk = agent_set(
+        build_from_risk_aversion(ConstantAversion(2.0), c_bound=2.0),
+        build_from_risk_aversion(ConstantAversion(0.5), c_bound=2.0))
+    model = market_model(endowment=NamedPayoff("tanh"),
+                         dividends=[LinearPayoff(1.0)])
+    u = np.array([[-0.4, -1.3], [-0.3, -1.1], [-0.5, -2.0]])
+    cold = coefficient_rows(desk, model, RULE, 0.3, 0.1, u, [0.5])
+    warm = coefficient_rows(desk, model, RULE, 0.3, 0.1, u, [0.5],
+                            warm=(cold.weights * 1.1, cold.cash + 0.05))
+    assert cold.converged.all() and warm.converged.all()
+    assert warm.iterations >= 1
+    np.testing.assert_allclose(warm.coefficient, cold.coefficient,
+                               rtol=1e-8)
 
 
 def test_rows_solved_at_their_warm_start_take_no_newton_step(monkeypatch):
