@@ -18,7 +18,9 @@ For a reconstructed member the integrated aversion I(x) = int_0^x a is
 cached on a dense uniform grid and interpolated with a monotone cubic
 Hermite scheme whose node slopes are the analytic a(x); the improper
 integral defining u is completed beyond a cutoff with the one-term
-asymptotic -u'(x)/a(x).
+asymptotic -u'(x)/a(x).  Both integrals are accumulated from per-cell
+Gauss-Legendre sums formed TABLE_BLOCK cells at a time, so the build's
+working set is one block, and its bits do not depend on the block.
 
 Each cell's cubic (of I, and of u below the cutoff) is held in power form
 in t = (x - x_nodes[k]) / h, built over the width the cell's rounded nodes
@@ -156,8 +158,10 @@ _GL_X, _GL_W = leggauss(7)
 
 # the table grid spans [-TABLE_HALFWIDTH, TABLE_HALFWIDTH] in steps of
 # TABLE_STEP; utility values are tabulated up to TABLE_TAIL_CUTOFF and
-# continued by their asymptotic tail beyond it
+# continued by their asymptotic tail beyond it; the cell integrals are
+# formed TABLE_BLOCK cells at a time
 TABLE_HALFWIDTH, TABLE_STEP, TABLE_TAIL_CUTOFF = 120.0, 0.0025, 40.0
+TABLE_BLOCK = 1024
 
 
 def _power_cells(x_nodes, h, y, slope):
@@ -259,17 +263,30 @@ class _Tables:
         return val
 
 
+def _cell_sums(f, x_nodes, n_cells):
+    """Composite 7-point Gauss-Legendre integrals of f over the first
+    n_cells cells, each over the width its rounded nodes give it.
+
+    The cells are taken TABLE_BLOCK at a time, so the quadrature points
+    and f's temporaries never exceed one block; each cell's sum is formed
+    alone, so the result does not depend on the block.
+    """
+    out = np.empty(n_cells)
+    for lo in range(0, n_cells, TABLE_BLOCK):
+        hi = min(lo + TABLE_BLOCK, n_cells)
+        left, right = x_nodes[lo:hi], x_nodes[lo + 1:hi + 1]
+        half = 0.5 * (right - left)
+        pts = 0.5 * (left + right)[:, None] + half[:, None] * _GL_X[None, :]
+        out[lo:hi] = half * (f(pts.ravel()).reshape(pts.shape) @ _GL_W)
+    return out
+
+
 def _build_tables(aversion) -> _Tables:
     step = TABLE_STEP
     n_cells = int(round(2 * TABLE_HALFWIDTH / step))
     x_nodes = -TABLE_HALFWIDTH + step * np.arange(n_cells + 1)
-    # composite 7-point Gauss-Legendre accumulation of I(x) = int_0^x a,
-    # each cell over the width its rounded nodes give it
-    mid = 0.5 * (x_nodes[:-1] + x_nodes[1:])
-    half = 0.5 * np.diff(x_nodes)
-    pts = mid[:, None] + half[:, None] * _GL_X[None, :]
-    a_pts = aversion.derivatives(pts.ravel(), 0)[0].reshape(pts.shape)
-    cell = half * (a_pts @ _GL_W)
+    # I(x) = int_0^x a, accumulated over the cells
+    cell = _cell_sums(lambda x: aversion.derivatives(x, 0)[0], x_nodes, n_cells)
     i_nodes = np.concatenate(([0.0], np.cumsum(cell)))
     i_zero = int(round((0.0 - x_nodes[0]) / step))
     i_nodes = i_nodes - i_nodes[i_zero]
@@ -280,9 +297,7 @@ def _build_tables(aversion) -> _Tables:
     tbl = _Tables(x0=x_nodes[0], h=step, x_nodes=x_nodes, i_nodes=i_nodes,
                   a_nodes=a_nodes, u_nodes=np.empty(0), n_tail=n_tail,
                   tail_cutoff=x_nodes[n_tail])
-    pts_u = pts[:n_tail]
-    up_pts = np.exp(-tbl.integrated(pts_u.ravel()).reshape(pts_u.shape))
-    cell_u = half[:n_tail] * (up_pts @ _GL_W)
+    cell_u = _cell_sums(lambda x: np.exp(-tbl.integrated(x)), x_nodes, n_tail)
     rev = np.concatenate(([0.0], np.cumsum(cell_u[::-1])))[::-1]
     tail = np.exp(-i_nodes[n_tail]) / a_nodes[n_tail]
     tbl.u_nodes = -(rev + tail)
@@ -504,19 +519,30 @@ class SmoothnessReport:
         return float(self.aversion_sup[member, k - 1, -1])
 
 
+def _abs_maxima(spec: UtilitySpec, x, order: int) -> np.ndarray:
+    """Maxima over the points x of |a^(k)|, k = 1..order, then of the
+    risk tolerance's |(1/a)^(k)|, k = 0..order; 0 over no points."""
+    a = risk_aversion(spec, x, order)
+    r = _reciprocal_derivatives(a, order)
+    # r is this call's own array, so |r| is taken in place; a is the profile's
+    return np.concatenate([np.abs(a[1:]).max(axis=1, initial=0.0),
+                           np.abs(r, out=r).max(axis=1, initial=0.0)])
+
+
 def check_smoothness(agents: AgentSet, order: int) -> SmoothnessReport:
     """Grid suprema of |a^(k)|, k = 1..order, over nested symmetric windows.
 
     The windows have the SMOOTHNESS_RADII, on a grid of SMOOTHNESS_STEP.
     The grid is sorted, so each window |x| <= r is one slice of it, and
     each radius's suprema are the last radius's ones carried over the two
-    annuli the window adds.  A constant-aversion member (`constant`, in
-    closed form or not) is evaluated at one point instead: its
-    aversion and risk tolerance are the same everywhere, so the aversion
-    derivatives' suprema are 0 and the tolerance's are 1/a at order 0
-    and 0 above, on every window.  A member is flagged as growing when
-    the suprema keep increasing from one radius to the next by more than
-    SMOOTHNESS_RTOL, i.e. the windowed bounds fail to stabilize.
+    annuli the window adds; only those annuli are evaluated, one at a
+    time.  A constant-aversion member (`constant`, in closed form or not)
+    is evaluated at one point instead: its aversion and risk tolerance
+    are the same everywhere, so the aversion derivatives' suprema are 0
+    and the tolerance's are 1/a at order 0 and 0 above, on every window.
+    A member is flagged as growing when the suprema keep increasing from
+    one radius to the next by more than SMOOTHNESS_RTOL, i.e. the windowed
+    bounds fail to stabilize.
     """
     radii, step = SMOOTHNESS_RADII, SMOOTHNESS_STEP
     grid = np.arange(-radii[-1], radii[-1] + step / 2, step)
@@ -529,15 +555,13 @@ def check_smoothness(agents: AgentSet, order: int) -> SmoothnessReport:
         # a constant profile's value at one point stands for every window
         x, cuts = ((grid[:1], [(0, 1)] * len(radii)) if spec.constant
                    else (grid, windows))
-        a = risk_aversion(spec, x, order)
-        v = np.abs(np.concatenate([a[1:], _reciprocal_derivatives(a, order)]))
         # from an empty window at the inner left edge, carry the maximum
-        # over the two annuli each window adds (|values| >= 0, so 0.0 is
-        # the maximum over nothing)
+        # over the two annuli each window adds, each evaluated on its own
+        # (|values| >= 0, so 0.0 is the maximum over nothing)
         run, lo, hi = 0.0, cuts[0][0], cuts[0][0]
         for r_idx, (new_lo, new_hi) in enumerate(cuts):
-            run = np.maximum(run, v[:, new_lo:lo].max(axis=1, initial=0.0))
-            run = np.maximum(run, v[:, hi:new_hi].max(axis=1, initial=0.0))
+            for piece in (x[new_lo:lo], x[hi:new_hi]):
+                run = np.maximum(run, _abs_maxima(spec, piece, order))
             sups[i, :, r_idx], lo, hi = run, new_lo, new_hi
     a_sup, t_sup = sups[:, :order], sups[:, order:]
     growing = np.any(a_sup[..., 1:] > a_sup[..., :-1] * (1.0 + SMOOTHNESS_RTOL)

@@ -105,20 +105,21 @@ def test_regime_two_accepts_a_table_built_constant_member():
 
 
 def test_smoothness_and_regime_two_agree_on_constant_members(monkeypatch):
-    # the smoothness suprema evaluate each constant member at one point,
-    # and regime 2 names every other member
+    # the smoothness suprema evaluate each constant member at one point in
+    # all, and every other member once on each grid point; regime 2 names
+    # every other member
     desk = agent_set(CONST_TABLE, exponential_utility(2.0),
                      build_from_risk_aversion(TanhAversion(2.0, 0.5),
                                               c_bound=2.5))
-    aversion, sizes = utility.risk_aversion, []
+    aversion, points = utility.risk_aversion, [0] * desk.size
 
     def spied(spec, x, order=0):
-        sizes.append(np.size(x))
+        points[desk.members.index(spec)] += np.size(x)
         return aversion(spec, x, order)
 
     monkeypatch.setattr(utility, "risk_aversion", spied)
     check_smoothness(desk, 2)
-    assert [i for i, n in enumerate(sizes) if n == 1] == [0, 1]
+    assert points == [1, 1, 80_001]
     fam = check_regime(desk, LIN, 2).checks[0]
     assert fam.verdict == FAIL
     assert fam.detail == "member(s) [2] are not constant-aversion"

@@ -1,11 +1,13 @@
 """Utility construction: closed forms, reconstruction, smoothness reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from impactdesk import utility
 from impactdesk.utility import (
     SMOOTHNESS_RADII,
     SMOOTHNESS_RTOL,
@@ -347,3 +349,53 @@ def test_tables_pass_non_finite_queries_through():
         assert x[3] == 0.0
         assert np.isnan(log_marginal(spec, np.nan))
         assert np.isnan(utility_value(spec, np.nan))
+
+
+# ---------------------------------------------------------------------------
+# the table build in cell blocks: bits and working set
+
+TABLE_ARRAYS = ("x_nodes", "i_nodes", "a_nodes", "u_nodes", "i_cells",
+                "u_cells")
+
+
+@pytest.mark.parametrize("profile", [
+    TanhAversion(2.0, 0.5), TanhAversion(2.0, 0.5, 3.0),
+    SinSquareAversion(2.0, 0.5), ConstantAversion(2.0)],
+    ids=["tanh", "tanh-steep", "sin2", "constant"])
+def test_table_bits_do_not_depend_on_the_block(profile, monkeypatch):
+    # 997 leaves a ragged last block in both passes; a block above the
+    # cell count makes each pass one block
+    want = utility._build_tables(profile)
+    n_cells = want.x_nodes.size - 1
+    for block in (997, n_cells + 1):
+        monkeypatch.setattr(utility, "TABLE_BLOCK", block)
+        got = utility._build_tables(profile)
+        for name in TABLE_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _peak_mb(fn):
+    """Peak of what fn allocates, as numpy reports it to tracemalloc, in MB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_build_peak_memory():
+    # blocks of cells keep the build near 11 MB; the whole grid's
+    # 96,000 x 7 quadrature points at once need about 41 MB
+    peak = _peak_mb(lambda: build_from_risk_aversion(TanhAversion(2.0, 0.5),
+                                                     c_bound=2.5))
+    assert peak < 16.0
+
+
+def test_smoothness_sweep_peak_memory():
+    # one annulus at a time keeps the sweep near 2 MB; all 80,001 grid
+    # points at once need about 8.5 MB at order 2
+    desk = agent_set(build_from_risk_aversion(TanhAversion(2.0, 0.5),
+                                              c_bound=2.5))
+    assert _peak_mb(lambda: check_smoothness(desk, 2)) < 4.0
