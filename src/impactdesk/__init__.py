@@ -2,7 +2,7 @@
 
 from .conditions import (ConditionReport, FunctionalSamples, check_all_regimes,
                          check_regime, eval_functionals, smoothness_index)
-from .fields import eval_field, eval_sde_coefficient, solve_conjugate
+from .fields import eval_sde_coefficient, solve_conjugate
 from .market import (LinearPayoff, MarketModel, NamedPayoff, TablePayoff,
                      check_integrability, market_model)
 from .pareto import pareto_point, sharing_derivatives

@@ -219,7 +219,8 @@ def check_all_regimes(agents: AgentSet, model: MarketModel) -> tuple:
 
 @dataclass(frozen=True)
 class FunctionalSamples:
-    """L/M/N samples on (time x grid) lattices; nan marks skipped points.
+    """L/M/N samples on (time x grid) lattices; nan marks skipped points,
+    and each `*_skipped` count is the number of nans in its values.
 
     The per-time supremum rows and their trapezoidal time aggregates
     witness the time-integrated versions of the conditions without
@@ -231,9 +232,18 @@ class FunctionalSamples:
     l_values: np.ndarray       # (T, G_dual)
     m_values: np.ndarray       # (T, G_primal)
     n_values: np.ndarray       # (T, G_primal)
-    l_skipped: int
-    m_skipped: int
-    n_skipped: int
+
+    @property
+    def l_skipped(self) -> int:
+        return int(np.isnan(self.l_values).sum())
+
+    @property
+    def m_skipped(self) -> int:
+        return int(np.isnan(self.m_values).sum())
+
+    @property
+    def n_skipped(self) -> int:
+        return int(np.isnan(self.n_values).sum())
 
     def _sup(self, values: np.ndarray) -> np.ndarray:
         if values.shape[1] == 0:
@@ -274,7 +284,7 @@ class FunctionalSamples:
         return self._aggregate(self.n_sup)
 
 
-def _dual_load(agents, model, rule, t, level, utilities, positions, bound):
+def _dual_load(agents, model, rule, t, utilities, positions, bound):
     """L over a (utilities, positions) grid; nan outside the box or where
     the state is unreachable."""
     values = np.full(utilities.shape[0], np.nan)
@@ -285,24 +295,23 @@ def _dual_load(agents, model, rule, t, level, utilities, positions, bound):
     if idx.size:
         u = utilities[idx]
         coef = coefficient_rows(
-            agents, model, rule, t, np.broadcast_to(level, (idx.size,)), u,
+            agents, model, rule, t, np.zeros(idx.size), u,
             positions[idx]).coefficient
         load = np.sum((coef / u) ** 2, axis=1)
         values[idx] = load / (1.0 + np.sum(np.abs(np.log(-u)), axis=1))
-    return values, int(np.isnan(values).sum())
+    return values
 
 
-def _primal_loads(agents, model, rule, t, level, weights, cash, positions,
-                  bound):
+def _primal_loads(agents, model, rule, t, weights, cash, positions, bound):
     """M and N over a (weights, cash, positions) grid; nan outside the box
     or where the field leaves double precision."""
     g = weights.shape[0]
     m_values = np.full(g, np.nan)
     n_values = np.full(g, np.nan)
     if g == 0:
-        return m_values, n_values, 0, 0
-    out = field_core(agents, model, rule, t, np.broadcast_to(level, (g,)),
-                     weights, cash, positions, order=2, with_integrand=True)
+        return m_values, n_values
+    out = field_core(agents, model, rule, t, np.zeros(g), weights, cash,
+                     positions, order=2, with_integrand=True)
     value_v, value_x = out["value_v"], out["value_x"]
     h_v = out["integrand_v"]
     scale = 1.0 + np.abs(cash)
@@ -314,15 +323,13 @@ def _primal_loads(agents, model, rule, t, level, weights, cash, positions,
         ok = keep & np.all(value_x[:, None] <= bound * weights, axis=1)
         n = np.sum((weights * h_v) ** 2, axis=1) / (scale * value_x**2)
         n_values[ok] = n[ok]
-    return (m_values, n_values,
-            int(np.isnan(m_values).sum()), int(np.isnan(n_values).sum()))
+    return m_values, n_values
 
 
 def eval_functionals(agents: AgentSet, model: MarketModel,
                      rule: QuadratureRule, times: Sequence[float],
                      dual_grid=None, primal_grid=None,
-                     b: Optional[float] = None,
-                     level: float = 0.0) -> FunctionalSamples:
+                     b: Optional[float] = None) -> FunctionalSamples:
     """Sample the three flow functionals over time x state lattices.
 
     dual_grid is (utilities (G1, M), positions (G1, J)) and feeds L;
@@ -330,7 +337,8 @@ def eval_functionals(agents: AgentSet, model: MarketModel,
     feeds M and N.  Points outside the admissible boxes — and dual
     points no conjugate state reaches — are skipped and counted.  The
     box half-width b defaults to the largest grid position plus the
-    agents' aversion band constant.
+    agents' aversion band constant.  Every point sits at factor level
+    zero.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -357,19 +365,12 @@ def eval_functionals(agents: AgentSet, model: MarketModel,
         b = q_extent + agents.c
 
     l_rows, m_rows, n_rows = [], [], []
-    l_skip = m_skip = n_skip = 0
     for t in times:
-        lv, ls = _dual_load(agents, model, rule, float(t), level, du, dq, b)
-        mv, nv, ms, ns = _primal_loads(agents, model, rule, float(t), level,
-                                       pv, px, pq, b)
-        l_rows.append(lv)
+        l_rows.append(_dual_load(agents, model, rule, float(t), du, dq, b))
+        mv, nv = _primal_loads(agents, model, rule, float(t), pv, px, pq, b)
         m_rows.append(mv)
         n_rows.append(nv)
-        l_skip += ls
-        m_skip += ms
-        n_skip += ns
     return FunctionalSamples(
         times=times, bound=float(b),
         l_values=np.array(l_rows), m_values=np.array(m_rows),
-        n_values=np.array(n_rows),
-        l_skipped=l_skip, m_skipped=m_skip, n_skipped=n_skip)
+        n_values=np.array(n_rows))

@@ -62,8 +62,10 @@ predictor is first-order and the Newton corrects it.
 Faults are per row.  `field_core` flags a row that leaves double
 precision, or has a node with no sharing multiplier, in its `finite`
 mask instead of raising, and the conjugate solve ends only the row at
-fault; nothing is retried.  The single-state entries `eval_field`
-and `normalize_weights` raise FieldRangeError themselves.
+fault; nothing is retried.  `field_core` and `normalize_weights` are
+the two ways to evaluate a field, and `normalize_weights` raises
+FieldRangeError itself.  A conjugate solve takes at most
+NEWTON_MAX_ITER damped Newton steps.
 
 Within one conjugate solve a row moves only its weights and cash, so
 each residual can predict the multiplier at every node from the row's
@@ -93,33 +95,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .market import MarketModel, malliavin_derivative, terminal_wealth
-from .pareto import (WEIGHT_RATIO_LIMIT, harmonic_aversion, plane_rows,
-                     predict_log_multiplier, sharing_planes, unstack)
-from .quadrature import MAX_STABLE_ORDER, QuadratureRule, degenerate_rule
-from .utility import AgentSet
+from .pareto import (WEIGHT_RATIO_LIMIT, plane_rows, predict_log_multiplier,
+                     sharing_planes, unstack)
+from .quadrature import QuadratureRule, degenerate_rule
+from .utility import AgentSet, harmonic_aversion
 
-DEFAULT_ORDER = 64
 _LOG_RATIO_LIMIT = math.log(WEIGHT_RATIO_LIMIT)
-ADAPTIVE_RTOL = 1e-9    # eval_field's stabilization test without a rule
+NEWTON_MAX_ITER = 100   # damped Newton steps a conjugate solve may take
 
 
 class FieldRangeError(RuntimeError):
     """Quadrature left the representable range (utility under/overflow)."""
-
-
-def _require_finite(out: dict, t: float):
-    """Raise FieldRangeError if any evaluated row left double precision."""
-    bad = ~out["finite"]
-    if bad.any():
-        raise FieldRangeError(
-            f"field overflow at t={t:g} for {int(bad.sum())} of {bad.size} "
-            "points; the terminal wealth drives the shared utility outside "
-            "double precision")
 
 
 class ConjugateInfeasibleError(RuntimeError):
@@ -230,77 +220,6 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
     return out
 
 
-@dataclass(frozen=True)
-class FieldPoint:
-    """Field value, partials, and martingale integrand at one state."""
-
-    t: float
-    level: float
-    weights: np.ndarray
-    cash: float
-    position: np.ndarray
-    value: float
-    value_x: float
-    value_v: np.ndarray
-    value_xx: Optional[float] = None
-    value_xv: Optional[np.ndarray] = None
-    value_vv: Optional[np.ndarray] = None
-    integrand: Optional[float] = None
-    integrand_v: Optional[np.ndarray] = None
-    rule_order: int = DEFAULT_ORDER
-
-
-def eval_field(agents: AgentSet, model: MarketModel, t: float, level: float,
-               weights, cash: float, position=None, order: int = 2,
-               rule: Optional[QuadratureRule] = None,
-               with_integrand: bool = False) -> FieldPoint:
-    """Field at a single state.
-
-    With an explicit rule the integral is taken as given; with
-    rule=None the order doubles from the default until the value
-    stabilizes to ADAPTIVE_RTOL (or the stable construction cap is hit).
-    """
-    if rule is None:
-        n = DEFAULT_ORDER
-        prev = None
-        while True:
-            used = QuadratureRule.gauss_hermite(n)
-            out = field_core(agents, model, used, t, level, weights, cash,
-                             position, order=order,
-                             with_integrand=with_integrand)
-            _require_finite(out, t)
-            if prev is not None and abs(out["value"][0] - prev) <= \
-                    ADAPTIVE_RTOL * abs(out["value"][0]):
-                break
-            prev = out["value"][0]
-            if n >= MAX_STABLE_ORDER:
-                break
-            n = min(2 * n, MAX_STABLE_ORDER)
-    else:
-        used = rule
-        out = field_core(agents, model, used, t, level, weights, cash,
-                         position, order=order, with_integrand=with_integrand)
-        _require_finite(out, t)
-
-    def one(key):
-        val = out.get(key)
-        if val is None:
-            return None
-        return float(val[0]) if val.ndim == 1 else val[0]
-
-    return FieldPoint(
-        t=t, level=float(level),
-        weights=np.atleast_1d(np.asarray(weights, dtype=float)),
-        cash=float(cash),
-        position=np.atleast_1d(np.asarray(
-            position if position is not None else
-            np.zeros(model.n_dividends), dtype=float)),
-        value=one("value"), value_x=one("value_x"), value_v=one("value_v"),
-        value_xx=one("value_xx"), value_xv=one("value_xv"),
-        value_vv=one("value_vv"), integrand=one("integrand"),
-        integrand_v=one("integrand_v"), rule_order=used.n)
-
-
 def normalize_weights(agents: AgentSet, model: MarketModel,
                       rule: QuadratureRule, t: float, level, weights, cash,
                       position=None) -> np.ndarray:
@@ -313,7 +232,12 @@ def normalize_weights(agents: AgentSet, model: MarketModel,
     z, v, x, q = _batched(level, weights, cash, position,
                           agents.size, model.n_dividends)
     out = field_core(agents, model, rule, t, z, v, x, q, order=1)
-    _require_finite(out, t)
+    bad = ~out["finite"]
+    if bad.any():
+        raise FieldRangeError(
+            f"field overflow at t={t:g} for {int(bad.sum())} of {bad.size} "
+            "points; the terminal wealth drives the shared utility outside "
+            "double precision")
     scaled = v / out["value_x"][:, None]
     return scaled[0] if np.asarray(weights).ndim <= 1 else scaled
 
@@ -456,8 +380,7 @@ def solve_rows(jac, rhs):
 
 
 def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
-                     position, warm=None, max_iter=100,
-                     tol=1e-10) -> ConjugatePoint:
+                     position, warm=None, tol=1e-10) -> ConjugatePoint:
     """Damped Newton in (log-weights, cash), one row per target state.
 
     The residual is log-scaled — log of the marginal ratios — which
@@ -538,7 +461,7 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     sigma = np.full(b, np.nan)
     jacobian = np.full((b, m + 1, m + 1), np.nan)
     converged = np.zeros(b, dtype=bool)
-    iterations = 0      # Newton steps taken, capped at max_iter
+    iterations = 0      # Newton steps taken, capped at NEWTON_MAX_ITER
     while active.size:
         norm = np.abs(rho).max(axis=1)
         done = norm <= tol
@@ -561,7 +484,7 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
         # norm is never done); one whose Jacobian is non-finite or
         # singular ends here
         go = ~done & np.isfinite(norm)
-        if not go.any() or iterations == max_iter:
+        if not go.any() or iterations == NEWTON_MAX_ITER:
             break
         step, ok = solve_rows(jac[go], -rho[go])
         active, norm, step = active[go][ok], norm[go][ok], step[ok]
@@ -596,8 +519,8 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
 
 def coefficient_rows(agents: AgentSet, model: MarketModel,
                      rule: QuadratureRule, t: float, level, utilities,
-                     position, warm=None, max_iter: int = 100,
-                     tol: float = 1e-10, slope=1.0) -> ConjugatePoint:
+                     position, warm=None, tol: float = 1e-10,
+                     slope=1.0) -> ConjugatePoint:
     """Conjugate rows, one per state, with a mask; the one conjugate entry.
 
     Solves value_v = utilities, value_x = slope in one batch (slope one
@@ -608,13 +531,12 @@ def coefficient_rows(agents: AgentSet, model: MarketModel,
     """
     targets = _targets(agents, model, level, utilities, slope, position)
     return _conjugate_batch(agents, model, rule, t, *targets, warm=warm,
-                            max_iter=max_iter, tol=tol)
+                            tol=tol)
 
 
 def solve_conjugate(agents: AgentSet, model: MarketModel,
                     rule: QuadratureRule, t: float, level, utilities, slope,
-                    position=None, warm=None, max_iter: int = 100,
-                    tol: float = 1e-10) -> ConjugatePoint:
+                    position=None) -> ConjugatePoint:
     """Invert the field marginals at one or many states.
 
     The targets broadcast to one batch; a single utility row whose batch
@@ -624,7 +546,7 @@ def solve_conjugate(agents: AgentSet, model: MarketModel,
     dealer system this is how explosion shows up).
     """
     point = coefficient_rows(agents, model, rule, t, level, utilities,
-                             position, warm, max_iter, tol, slope=slope)
+                             position, slope=slope)
     if not point.converged.all():
         bad = np.flatnonzero(~point.converged)
         raise ConjugateInfeasibleError(
@@ -638,7 +560,7 @@ def solve_conjugate(agents: AgentSet, model: MarketModel,
 
 def eval_sde_coefficient(agents: AgentSet, model: MarketModel,
                          rule: QuadratureRule, t: float, level, utilities,
-                         position=None, warm=None):
+                         position=None):
     """Diffusion row of the dealer system.
 
     The weight gradient of the martingale integrand at the conjugate
@@ -647,5 +569,5 @@ def eval_sde_coefficient(agents: AgentSet, model: MarketModel,
     raises ConjugateInfeasibleError when a row does not converge.
     """
     point = solve_conjugate(agents, model, rule, t, level, utilities, 1.0,
-                            position, warm)
+                            position)
     return point.coefficient, point

@@ -13,9 +13,11 @@ integral.
 
 Whether those integrals are finite at all is a property of the payoff
 tails.  ``check_integrability`` estimates the dominating exponential
-moments with nested Gauss-Hermite rules and reports which ones
-stabilize; divergence is flagged heuristically from unbounded growth of
-the estimates (an integral cannot be proven infinite numerically).
+moment of one regime's condition ("baseline", "exponential" or
+"strong") at each dividend power of MOMENT_POWERS with nested
+Gauss-Hermite rules and reports which ones stabilize; divergence is
+flagged heuristically from unbounded growth of the estimates (an
+integral cannot be proven infinite numerically).
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .pareto import harmonic_aversion
 from .quadrature import QuadratureRule, nested_orders
-from .utility import AgentSet
+from .utility import AgentSet, harmonic_aversion
 
 
 class UnsupportedPayoffError(ValueError):
@@ -247,8 +248,9 @@ def malliavin_derivative(model: MarketModel, z):
 # --------------------------------------------------------------------------
 # exponential moments and integrability verdicts
 
-MODES = ("value", "baseline", "exponential", "strong")
+MODES = ("baseline", "exponential", "strong")
 MOMENT_RTOL = 1e-6
+MOMENT_POWERS = (1.0, 2.0, 4.0)     # the dividend powers p each mode probes
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -301,19 +303,15 @@ class IntegrabilityReport:
 
 
 def check_integrability(model: MarketModel, agents: AgentSet,
-                        p_values: Sequence[float] = (1.0, 2.0, 4.0),
                         mode: str = "baseline") -> IntegrabilityReport:
     """Estimate the exponential moments a given wellposedness regime needs.
 
-    Every regime requires E[exp(p|f(Z)| + kappa * h(g(Z)))] < infinity,
-    with the dividend part always in absolute value and the endowment
-    part depending on the mode:
+    Every regime requires E[exp(p|f(Z)| + kappa * h(g(Z)))] < infinity
+    at each p of MOMENT_POWERS, with the dividend part always in
+    absolute value and the endowment part depending on the mode:
 
-    - "value":       p and the negative part of g both scaled by
-                     (aversion cap) / (number of members) — the envelope
-                     that dominates the utility field itself at position
-                     size p;
-    - "baseline":    negative part of g scaled by cap/members;
+    - "baseline":    negative part of g scaled by (aversion cap) /
+                     (number of members);
     - "exponential": signed g weighted by the harmonic mean of the
                      members' aversion at zero (the exact tilt when all
                      members have constant aversion);
@@ -344,8 +342,7 @@ def check_integrability(model: MarketModel, agents: AgentSet,
     verdicts, logs, orders_used = [], [], []
     signs = list(itertools.product((-1.0, 1.0), repeat=model.n_dividends))
     ladder = nested_orders()
-    for p in p_values:
-        p_f = (cap / nm) * p if mode == "value" else p
+    for p in MOMENT_POWERS:
         term_logs = []
         all_ok = True
         top_order = ladder[0]
@@ -356,11 +353,11 @@ def check_integrability(model: MarketModel, agents: AgentSet,
                     acc = kg * model.endowment.value(z) if kg != 0.0 \
                         else np.zeros_like(z)
                     for s, payoff in zip(sigma, model.dividends):
-                        acc = acc + (p_f * s) * payoff.value(z)
+                        acc = acc + (p * s) * payoff.value(z)
                     return acc
 
                 term_bounded = (kg == 0.0 or model.endowment.bounded) and \
-                    all(p.bounded or p_f == 0.0 for p in model.dividends)
+                    all(f.bounded or p == 0.0 for f in model.dividends)
                 log_est, order, ok, _ = _log_moment_ladder(
                     exponent, MOMENT_RTOL, ladder)
                 term_logs.append(log_est)
@@ -370,7 +367,7 @@ def check_integrability(model: MarketModel, agents: AgentSet,
         logs.append(_logsumexp(np.asarray(term_logs)))
         orders_used.append(top_order)
     return IntegrabilityReport(
-        mode=mode, p_values=tuple(float(p) for p in p_values),
+        mode=mode, p_values=tuple(float(p) for p in MOMENT_POWERS),
         verdicts=tuple(verdicts), log_estimates=tuple(logs),
         orders=tuple(orders_used),
         n_terms=len(signs) * len(g_coeffs))

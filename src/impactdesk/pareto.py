@@ -58,12 +58,14 @@ import numpy as np
 
 from .utility import (
     AgentSet,
+    harmonic_aversion,
     inverse_log_marginal,
     risk_aversion,
     utility_value,
 )
 
 WEIGHT_RATIO_LIMIT = 1e12
+MULTIPLIER_ATOL = 1e-13     # a point meets MULTIPLIER_ATOL * (1 + |x|)
 
 
 def _quiet(fn):
@@ -97,7 +99,7 @@ def check_weights(v: np.ndarray):
 
 
 def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
-                          atol_scale: float = 1e-13, seed=None):
+                          seed=None):
     """Solve sum_m (u_m')^{-1}(exp(l) / v^m) = x for l = log(lam).
 
     logv carries the member axis last and must broadcast against x after
@@ -133,7 +135,7 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     shape = np.broadcast_shapes(logv.shape[:-1], x.shape)
     if not shape:       # one point: solve it as a row of one
         l, xhat = _solve_log_multiplier(
-            agents, logv.reshape(1, nm), x.reshape(1), atol_scale,
+            agents, logv.reshape(1, nm), x.reshape(1),
             None if seed is None else np.reshape(seed, 1))
         return l.reshape(()), [xm.reshape(()) for xm in xhat]
     t0 = 1.0 / agents.aversion_at_zero
@@ -150,7 +152,8 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     l = l.reshape(-1)
     x = np.broadcast_to(x, shape).reshape(-1)
     psi = sum(xhat) - x
-    rows = np.flatnonzero(~(np.abs(psi) <= atol_scale * (1.0 + np.abs(x))))
+    rows = np.flatnonzero(~(np.abs(psi) <= MULTIPLIER_ATOL
+                            * (1.0 + np.abs(x))))
     if not rows.size:
         return l.reshape(shape), [xm.reshape(shape) for xm in xhat]
 
@@ -168,7 +171,7 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     span = agents.c / nm
     lo = lr + np.minimum(psi, 0.0) * span
     hi = lr + np.maximum(psi, 0.0) * span
-    tol = atol_scale * (1.0 + np.abs(x[rows]))
+    tol = MULTIPLIER_ATOL * (1.0 + np.abs(x[rows]))
     for it in range(101):
         open_ = ~(np.abs(psi) <= tol)
         end = open_ if it == 100 else open_ & ~np.isfinite(psi)
@@ -416,12 +419,6 @@ def pareto_point(agents: AgentSet, v, x) -> ParetoPoint:
         value_xx=float(d["value_xx"]), value_xv=d["value_xv"],
         value_vv=d["value_vv"], value_xxx=float(d["value_xxx"]),
         value_xxv=d["value_xxv"])
-
-
-def harmonic_aversion(coefficients) -> float:
-    """Aggregate constant aversion: reciprocal of summed tolerances."""
-    a = np.asarray(coefficients, dtype=float)
-    return 1.0 / float((1.0 / a).sum())
 
 
 def exponential_point(coefficients, v, x) -> ParetoPoint:

@@ -396,6 +396,12 @@ class AgentSet:
         return all(m.tables is None for m in self.members)
 
 
+def harmonic_aversion(coefficients) -> float:
+    """Aggregate constant aversion: reciprocal of summed tolerances."""
+    a = np.asarray(coefficients, dtype=float)
+    return 1.0 / float((1.0 / a).sum())
+
+
 def agent_set(*specs: UtilitySpec) -> AgentSet:
     return AgentSet(members=tuple(specs))
 

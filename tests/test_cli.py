@@ -266,6 +266,18 @@ def test_oracle_in_log_coordinates_is_exact_here(tmp_path):
     assert np.all(data[:, 5] <= 1e-12)
 
 
+def test_oracle_with_exact_levels_reads_nan_ratios(tmp_path):
+    # no payoff: the Euler step is exact, every level's error is exactly
+    # 0, and each halving ratio 0/0 reads nan instead of raising
+    text = BASE.split("[model]")[0] + "[sim]\ndt = 0.125\npaths = 4\n" \
+        "quadrature = 8\n"
+    cfg = write_cfg(tmp_path, text)
+    assert run(["oracle", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, data = read_csv(tmp_path / "oracle.csv")
+    assert np.all(data[:, 2] == 4.0) and np.all(data[:, 5] == 0.0)
+    assert np.isnan(data[:, 6]).all()
+
+
 def test_oracle_without_completed_paths_reports_nan(tmp_path):
     # every path explodes at every dt: no mean to take, and no warning
     cfg = write_cfg(tmp_path, STEP)

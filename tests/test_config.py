@@ -162,7 +162,6 @@ def test_flow_kinds_build():
     assert type(flow) is ScheduleFlow
     assert flow.times.tolist() == [0.0, 0.5]
     assert flow.positions.tolist() == [[0.5], [20.0]]
-    assert flow.local_bound == 20.0
 
 
 def test_negative_dt_names_the_key():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from impactdesk.fields import (
     ConjugateInfeasibleError,
     FieldRangeError,
     coefficient_rows,
-    eval_field,
     eval_sde_coefficient,
     field_core,
     normalize_weights,
@@ -44,6 +44,14 @@ RULE = QuadratureRule.gauss_hermite(64)
 RULE16 = QuadratureRule.gauss_hermite(16)
 
 
+def field_at(agents, model, t, z, v, x, q=None, order=2,
+             with_integrand=False):
+    """`field_core` under RULE at one state, each output at its one row."""
+    out = field_core(agents, model, RULE, t, z, v, x, q, order=order,
+                     with_integrand=with_integrand)
+    return SimpleNamespace(**{key: a[0] for key, a in out.items()})
+
+
 def closed_form_factor(t, z, exposure):
     # E[exp(-exposure * Z) | Z ~ N(z, 1-t)] for harmonic aversion 1
     return math.exp(-exposure * z + exposure**2 * (1.0 - t) / 2.0)
@@ -63,8 +71,7 @@ def test_rule_moments():
 
 
 def test_terminal_time_returns_sharing_value():
-    fp = eval_field(EXP_PAIR, LIN_MARKET, 1.0, 0.7, (1.0, 2.0), 0.3, [0.5],
-                    rule=RULE)
+    fp = field_at(EXP_PAIR, LIN_MARKET, 1.0, 0.7, (1.0, 2.0), 0.3, [0.5])
     wealth = 0.3 + 0.5 * 0.7 + 0.5 * 0.7
     ref = pareto_point(EXP_PAIR, (1.0, 2.0), wealth)
     assert fp.value == pytest.approx(ref.value, rel=1e-13)
@@ -75,8 +82,8 @@ def test_deterministic_payoff_is_time_constant():
     shifted = market_model(endowment=LinearPayoff(0.0, 2.0))
     ref = pareto_point(EXP_PAIR, (1.0, 1.0), 2.4)
     for t, z in [(0.0, 0.0), (0.3, -1.1), (0.9, 5.0)]:
-        fp = eval_field(EXP_PAIR, shifted, t, z, (1.0, 1.0), 0.4,
-                        rule=RULE, with_integrand=True)
+        fp = field_at(EXP_PAIR, shifted, t, z, (1.0, 1.0), 0.4,
+                      with_integrand=True)
         assert fp.value == pytest.approx(ref.value, rel=1e-12)
         assert fp.integrand == pytest.approx(0.0, abs=1e-15)
 
@@ -87,8 +94,7 @@ def test_deterministic_payoff_is_time_constant():
     (0.9, 1.2, (2.0, 1.0), -0.4, -1.2),
 ])
 def test_exponential_linear_factorization(t, z, v, x, q):
-    fp = eval_field(EXP_PAIR, LIN_MARKET, t, z, v, x, [q], rule=RULE,
-                    with_integrand=True)
+    fp = field_at(EXP_PAIR, LIN_MARKET, t, z, v, x, [q], with_integrand=True)
     exposure = 0.5 + q  # harmonic aversion is 1
     ref = pareto_point(EXP_PAIR, v, x)
     factor = closed_form_factor(t, z, exposure)
@@ -104,11 +110,11 @@ def test_exponential_linear_factorization(t, z, v, x, q):
 @pytest.mark.parametrize("agents", [EXP_PAIR, TANH_MIX], ids=["exp", "tanh"])
 def test_homogeneity_and_euler(agents):
     v = np.array([1.1, 0.6])
-    fp = eval_field(agents, LIN_MARKET, 0.4, 0.2, v, 0.7, [0.5], rule=RULE,
-                    with_integrand=True)
+    fp = field_at(agents, LIN_MARKET, 0.4, 0.2, v, 0.7, [0.5],
+                  with_integrand=True)
     for b in (0.5, 2.0):
-        fb = eval_field(agents, LIN_MARKET, 0.4, 0.2, b * v, 0.7, [0.5],
-                        rule=RULE, with_integrand=True)
+        fb = field_at(agents, LIN_MARKET, 0.4, 0.2, b * v, 0.7, [0.5],
+                      with_integrand=True)
         assert fb.value == pytest.approx(b * fp.value, rel=1e-10)
         assert fb.integrand == pytest.approx(b * fp.integrand, rel=1e-10)
     assert np.dot(v, fp.value_v) == pytest.approx(fp.value, rel=1e-10)
@@ -133,23 +139,15 @@ def test_tower_property():
                      np.tile([1.0, 2.0], (sub.n, 1)), np.full(sub.n, 0.3),
                      np.full((sub.n, 1), 0.5))
     towered = out["value"] @ sub.weights
-    direct = eval_field(EXP_PAIR, LIN_MARKET, t0, z0, (1.0, 2.0), 0.3, [0.5],
-                        rule=RULE).value
+    direct = field_at(EXP_PAIR, LIN_MARKET, t0, z0, (1.0, 2.0), 0.3,
+                      [0.5]).value
     assert towered == pytest.approx(direct, rel=1e-7)
-
-
-def test_adaptive_rule_stabilizes():
-    fp = eval_field(EXP_PAIR, LIN_MARKET, 0.5, 0.1, (1.0, 1.0), 0.2, [0.5])
-    fixed = eval_field(EXP_PAIR, LIN_MARKET, 0.5, 0.1, (1.0, 1.0), 0.2, [0.5],
-                       rule=QuadratureRule.gauss_hermite(128))
-    assert fp.value == pytest.approx(fixed.value, rel=1e-9)
 
 
 def test_normalize_weights_lands_on_unit_slice():
     vn = normalize_weights(EXP_PAIR, LIN_MARKET, RULE, 0.5, 0.2, (1.0, 2.0),
                            0.3, [0.5])
-    fp = eval_field(EXP_PAIR, LIN_MARKET, 0.5, 0.2, vn, 0.3, [0.5], rule=RULE,
-                    order=1)
+    fp = field_at(EXP_PAIR, LIN_MARKET, 0.5, 0.2, vn, 0.3, [0.5], order=1)
     assert fp.value_x == pytest.approx(1.0, rel=1e-10)
     again = normalize_weights(EXP_PAIR, LIN_MARKET, RULE, 0.5, 0.2, vn, 0.3,
                               [0.5])
@@ -159,8 +157,7 @@ def test_normalize_weights_lands_on_unit_slice():
 def test_normalize_matches_exponential_closed_form():
     # cash marginal = (harmonic aversion) * (-value) for constant aversion
     v = np.array([1.0, 2.0])
-    fp = eval_field(EXP_PAIR, LIN_MARKET, 0.4, -0.3, v, 0.8, [0.5], rule=RULE,
-                    order=1)
+    fp = field_at(EXP_PAIR, LIN_MARKET, 0.4, -0.3, v, 0.8, [0.5], order=1)
     vn = normalize_weights(EXP_PAIR, LIN_MARKET, RULE, 0.4, -0.3, v, 0.8,
                            [0.5])
     assert np.allclose(vn, v / (-1.0 * fp.value), rtol=1e-12)
@@ -180,14 +177,13 @@ def test_conjugate_symmetric_frozen_point():
 def test_conjugate_round_trip(agents, t):
     v0 = np.array([0.8, 1.7])
     x0 = 0.6
-    fp = eval_field(agents, LIN_MARKET, t, 0.2, v0, x0, [0.5], rule=RULE)
+    fp = field_at(agents, LIN_MARKET, t, 0.2, v0, x0, [0.5])
     cp = solve_conjugate(agents, LIN_MARKET, RULE, t, 0.2, fp.value_v,
                          fp.value_x, [0.5])
     assert np.allclose(cp.weights, v0, rtol=1e-8)
     assert cp.cash == pytest.approx(x0, abs=1e-8)
     # the conjugate residuals themselves
-    chk = eval_field(agents, LIN_MARKET, t, 0.2, cp.weights, cp.cash, [0.5],
-                     rule=RULE)
+    chk = field_at(agents, LIN_MARKET, t, 0.2, cp.weights, cp.cash, [0.5])
     assert np.allclose(chk.value_v, fp.value_v, rtol=1e-9)
     assert chk.value_x == pytest.approx(fp.value_x, rel=1e-9)
 
@@ -205,9 +201,9 @@ def test_conjugate_slope_scaling():
 def test_conjugate_warm_start_converges_fast():
     u = np.array([-0.25, -0.35])
     c1 = solve_conjugate(TANH_MIX, LIN_MARKET, RULE, 0.25, 0.1, u, 1.0, [0.5])
-    c2 = solve_conjugate(TANH_MIX, LIN_MARKET, RULE, 0.25, 0.1, u, 1.0, [0.5],
-                         warm=(c1.weights, c1.cash))
-    assert c2.iterations <= 2
+    c2 = coefficient_rows(TANH_MIX, LIN_MARKET, RULE, 0.25, 0.1, u, [0.5],
+                          warm=(c1.weights, c1.cash)).item()
+    assert c2.converged and c2.iterations <= 2
     assert np.allclose(c2.weights, c1.weights, rtol=1e-10)
 
 
@@ -288,14 +284,15 @@ def test_sde_coefficient_deterministic_market_is_zero():
 
 def test_range_error_diagnostic():
     with pytest.raises(FieldRangeError, match="terminal wealth"):
-        eval_field(EXP_PAIR, LIN_MARKET, 0.0, 0.0, (1.0, 1.0), -5000.0, [0.5],
-                   rule=RULE)
+        normalize_weights(EXP_PAIR, LIN_MARKET, RULE, 0.0, 0.0, (1.0, 1.0),
+                          -5000.0, [0.5])
 
 
-def test_infeasible_after_iteration_budget():
+def test_infeasible_after_iteration_budget(monkeypatch):
+    monkeypatch.setattr(fields, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ConjugateInfeasibleError) as exc:
         solve_conjugate(TANH_MIX, LIN_MARKET, RULE, 0.5, 0.0,
-                        np.array([-9.0, -1e-4]), 1.0, [0.5], max_iter=1)
+                        np.array([-9.0, -1e-4]), 1.0, [0.5])
     assert exc.value.indices == (0,)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from impactdesk import market
 from impactdesk.market import (
     CustomPayoff,
     IntegrabilityReport,
@@ -125,34 +126,38 @@ def test_gaussian_moment_oracle():
                                                   rel=1e-8)
 
 
-def test_bounded_payoffs_pass_every_mode_and_p():
+def test_bounded_payoffs_pass_every_mode_and_p(monkeypatch):
+    monkeypatch.setattr(market, "MOMENT_POWERS", (0.5, 1.0, 8.0))
     m = market_model(endowment=NamedPayoff("tanh", scale=3.0),
                      dividends=[NamedPayoff("sin"), NamedPayoff("cos")])
-    for mode in ("value", "baseline", "exponential", "strong"):
-        rep = check_integrability(m, PAIR, (0.5, 1.0, 8.0), mode)
+    for mode in ("baseline", "exponential", "strong"):
+        rep = check_integrability(m, PAIR, mode)
         assert rep.verdict == "PASS"
         assert rep.verdicts == ("PASS",) * 3
 
 
-def test_linear_payoffs_pass():
+def test_linear_payoffs_pass(monkeypatch):
+    monkeypatch.setattr(market, "MOMENT_POWERS", (1.0, 2.0))
     m = market_model(endowment=LinearPayoff(0.5),
                      dividends=[LinearPayoff(1.0)])
-    for mode in ("value", "baseline", "exponential", "strong"):
-        assert check_integrability(m, PAIR, (1.0, 2.0), mode).verdict == "PASS"
+    for mode in ("baseline", "exponential", "strong"):
+        assert check_integrability(m, PAIR, mode).verdict == "PASS"
 
 
-def test_negative_square_endowment_diverges_strong():
+def test_negative_square_endowment_diverges_strong(monkeypatch):
     # cap/members = 2 so the strong-mode tilt is 4 >= 1/2: the Gaussian
     # weight cannot absorb exp(4 z^2)
+    monkeypatch.setattr(market, "MOMENT_POWERS", (1.0,))
     m = market_model(endowment=NamedPayoff("square", scale=-1.0))
-    rep = check_integrability(m, SINGLE, (1.0,), "strong")
+    rep = check_integrability(m, SINGLE, "strong")
     assert rep.verdict == "DIVERGENT"
     assert rep.log_estimates[0] > 100.0
 
 
-def test_report_shape_and_lines():
+def test_report_shape_and_lines(monkeypatch):
+    monkeypatch.setattr(market, "MOMENT_POWERS", (1.0, 2.0))
     m = market_model(dividends=[LinearPayoff(1.0)])
-    rep = check_integrability(m, PAIR, (1.0, 2.0), "baseline")
+    rep = check_integrability(m, PAIR, "baseline")
     assert isinstance(rep, IntegrabilityReport)
     assert rep.n_terms == 4  # two dividend signs x endowment on/off
     assert len(rep.lines()) == 2
@@ -162,7 +167,9 @@ def test_report_shape_and_lines():
 def test_unknown_mode_and_name_rejected():
     m = market_model()
     with pytest.raises(ValueError):
-        check_integrability(m, PAIR, (1.0,), "fancy")
+        check_integrability(m, PAIR, "fancy")
+    with pytest.raises(ValueError):
+        check_integrability(m, PAIR, "value")
     with pytest.raises(UnsupportedPayoffError):
         NamedPayoff("sinh")
 

@@ -11,7 +11,6 @@ from impactdesk.pareto import (
     WEIGHT_RATIO_LIMIT,
     DegenerateWeightsError,
     exponential_point,
-    harmonic_aversion,
     pareto_point,
     sharing_derivatives,
 )
@@ -21,6 +20,7 @@ from impactdesk.utility import (
     build_from_risk_aversion,
     eval_utility,
     exponential_utility,
+    harmonic_aversion,
 )
 
 EXP_PAIR = agent_set(exponential_utility(2.0), exponential_utility(2.0))
@@ -258,12 +258,12 @@ def test_multiplier_solve_work_bound(monkeypatch):
     assert elems[0] <= 3 * x.size * nm
 
 
-def test_rows_open_at_the_iteration_cap_come_back_nan():
+def test_rows_open_at_the_iteration_cap_come_back_nan(monkeypatch):
     # with zero tolerance only an exact root converges; the other rows
     # take all 100 steps and end there, without raising
     v, x = _seeded_rows(20, 7)
-    l, alloc = pareto._solve_log_multiplier(TANH_EXP, np.log(v), x,
-                                            atol_scale=0.0)
+    monkeypatch.setattr(pareto, "MULTIPLIER_ATOL", 0.0)
+    l, alloc = pareto._solve_log_multiplier(TANH_EXP, np.log(v), x)
     capped = np.isnan(l)
     assert 0 < capped.sum() < x.size
     for xm in alloc:

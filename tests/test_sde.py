@@ -91,7 +91,6 @@ def test_schedule_flow_right_open():
     assert np.all(flow.at(0.499, u, b) == 0.2)
     assert np.all(flow.at(0.5, u, b) == 0.7)     # switch time belongs right
     assert np.all(flow.at(1.0, u, b) == 0.7)
-    assert flow.local_bound == 0.7
     assert np.all(flow.initial_position == [0.2])
 
 
@@ -111,7 +110,7 @@ def test_feedback_flow_sees_left_limits():
         calls.append((t, utilities.copy()))
         return np.array([0.5])
 
-    flow = FeedbackFlow(rule, [0.5], local_bound=0.5)
+    flow = FeedbackFlow(rule, [0.5])
     cfg = SimulationConfig(dt=0.25, seed=4, quadrature_n=16)
     init = initial_state(EXP_PAIR, LIN, RULE, [1.0, 1.0], 1.0, [0.5])
     path = simulate_path(EXP_PAIR, LIN, flow, cfg, init)
@@ -121,11 +120,6 @@ def test_feedback_flow_sees_left_limits():
     assert sim_times == [0.0, 0.25, 0.5, 0.75]
     for k, (_, seen) in enumerate(calls[:-1]):
         assert np.abs(seen[0] - path.utilities[k]).max() <= 1e-15
-
-
-def test_feedback_flow_requires_bound():
-    with pytest.raises(ValueError):
-        FeedbackFlow(lambda t, u, b: [0.0], [0.0], local_bound=0.0)
 
 
 def test_constant_and_step_flows_are_schedules():
@@ -138,9 +132,6 @@ def test_constant_and_step_flows_are_schedules():
     assert type(step) is ScheduleFlow
     assert np.array_equal(step.times, [0.0, 0.5])
     assert np.array_equal(step.positions, [[0.5], [20.0]])
-    assert step.local_bound == 20.0
-    # a zero step is a zero schedule, like a zero constant flow
-    assert step_feedback(0.5, [0.0], [0.0]).local_bound == 0.0
     with pytest.raises(ValueError, match="must start at 0 and increase"):
         step_feedback(0.0, [0.5], [20.0])
 
@@ -148,7 +139,7 @@ def test_constant_and_step_flows_are_schedules():
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_schedule_times_must_be_finite(t):
     # a NaN or infinite switch would hold the first row for the whole
-    # horizon while local_bound reports the second
+    # horizon while the schedule lists the second
     with pytest.raises(ValueError, match="schedule times must be finite"):
         ScheduleFlow([0.0, t], [[0.5], [20.0]])
     with pytest.raises(ValueError, match="schedule times must be finite"):
@@ -163,7 +154,7 @@ def _lean_against_the_factor(t, utilities, level):
 
 
 # a flow that reads the state; module level, so workers can unpickle it
-LEAN_FLOW = FeedbackFlow(_lean_against_the_factor, [0.5], local_bound=0.8)
+LEAN_FLOW = FeedbackFlow(_lean_against_the_factor, [0.5])
 
 
 # --------------------------------------------------------------------------
@@ -208,6 +199,22 @@ def test_config_validation():
         SimulationConfig(explosion_eps=-1e-6)
     with pytest.raises(ValueError):
         SimulationConfig(quadrature_n=0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_newton_tol_must_be_positive_and_finite(tol):
+    # a nan or non-positive tolerance reports converging paths as
+    # conjugate-infeasible, an infinite one accepts every warm start
+    with pytest.raises(ValueError,
+                       match="newton_tol must be positive and finite"):
+        SimulationConfig(dt=0.25, n_paths=3, newton_tol=tol)
+
+
+def test_explosion_eps_must_be_finite():
+    # an infinite threshold would stop every path as an explosion at tau 0
+    with pytest.raises(ValueError,
+                       match="explosion_eps must be positive and finite"):
+        SimulationConfig(dt=0.25, n_paths=3, explosion_eps=math.inf)
 
 
 def test_step_count_ceiling():
