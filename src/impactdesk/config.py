@@ -10,7 +10,11 @@ hex digits of the echo's SHA-256 tag every output file a run writes.
 
 Every number must be finite, and every error names its key and, when
 the text has one, its line.  Each key is one row of ``_KEYS``, which
-parsing, checking and the echo all read.
+parsing, checking and the echo all read.  Likewise each agent family and
+payoff kind is one row of ``_AGENT_KINDS`` or ``_PAYOFF_KINDS``: the
+parameters its line must give, the optional ones with their defaults,
+and the builder of its member or payoff.  The named payoff kinds are
+``market.NAMED_PAYOFFS``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
-from .market import LinearPayoff, MarketModel, NamedPayoff, market_model
+from .market import (NAMED_PAYOFFS, LinearPayoff, MarketModel, NamedPayoff,
+                     market_model)
 from .sde import (ConstantFlow, ScheduleFlow, SimulationConfig, step_count,
                   step_feedback)
 from .utility import (AgentSet, SinSquareAversion, TanhAversion, agent_set,
@@ -41,19 +46,30 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
-# family -> (required params, optional params with defaults)
-_AGENT_PARAMS = {
-    "exponential": (("aversion",), {"c": None}),
-    "tanh": (("base", "amplitude", "c"), {"scale": 1.0}),
-    "sin2": (("base", "amplitude", "c"), {"scale": 1.0}),
+class _Kind(NamedTuple):
+    """One agent family or payoff kind of a config line."""
+
+    required: tuple     # parameters the line must give
+    optional: dict      # parameter -> default; None: filled at parse
+    build: Callable     # {parameter: value} -> the member or payoff
+
+
+_AGENT_KINDS = {
+    "exponential": _Kind(("aversion",), {"c": None}, lambda p: (
+        exponential_utility(p["aversion"], c_bound=p.get("c")))),
+    "tanh": _Kind(("base", "amplitude", "c"), {"scale": 1.0}, lambda p: (
+        build_from_risk_aversion(TanhAversion(
+            p["base"], p["amplitude"], p["scale"]), c_bound=p["c"]))),
+    "sin2": _Kind(("base", "amplitude", "c"), {"scale": 1.0}, lambda p: (
+        build_from_risk_aversion(SinSquareAversion(
+            p["base"], p["amplitude"], p["scale"]), c_bound=p["c"]))),
 }
-_PAYOFF_PARAMS = {
-    "linear": (("slope",), {"intercept": 0.0}),
-    "sin": ((), {"scale": 1.0}),
-    "cos": ((), {"scale": 1.0}),
-    "tanh": ((), {"scale": 1.0}),
-    "square": ((), {"scale": 1.0}),
-    "exp": ((), {"scale": 1.0}),
+_PAYOFF_KINDS = {
+    "linear": _Kind(("slope",), {"intercept": 0.0},
+                    lambda p: LinearPayoff(p["slope"], p["intercept"])),
+    **{name: _Kind((), {"scale": 1.0},
+                   lambda p, name=name: NamedPayoff(name, p["scale"]))
+       for name in NAMED_PAYOFFS},
 }
 
 
@@ -138,7 +154,7 @@ def _parse_params(tokens, key: str, table, line=None):
     if kind not in table:
         raise ConfigError(
             f"{key}: unknown kind {kind!r}{_suggest(kind, table)}", line)
-    required, optional = table[kind]
+    required, optional, _ = table[kind]
     seen = {}
     for tok in tokens[1:]:
         if "=" not in tok:
@@ -165,7 +181,7 @@ def _parse_params(tokens, key: str, table, line=None):
 
 
 def _parse_agent(text: str, key: str, line, got):
-    family, params = _parse_params(text.split(), key, _AGENT_PARAMS, line)
+    family, params = _parse_params(text.split(), key, _AGENT_KINDS, line)
     p = dict(params)
     if family == "exponential" and "c" not in p:
         # the band [1/c, c] defaults to the tightest one holding aversion
@@ -180,7 +196,7 @@ def _parse_agent(text: str, key: str, line, got):
 
 
 def _parse_payoff(text: str, key: str, line, got):
-    return _parse_params(text.split(), key, _PAYOFF_PARAMS, line)
+    return _parse_params(text.split(), key, _PAYOFF_KINDS, line)
 
 
 def _unless(ok, message: str):
@@ -294,21 +310,8 @@ def _build_agent_set(agents: tuple) -> AgentSet:
     The last one built is kept, so parsing, an override and the run that
     follows share one build of each member's utility tables.
     """
-    members = []
-    for family, params in agents:
-        p = dict(params)
-        if family == "exponential":
-            members.append(exponential_utility(p["aversion"],
-                                               c_bound=p.get("c")))
-        elif family == "tanh":
-            members.append(build_from_risk_aversion(
-                TanhAversion(p["base"], p["amplitude"], p["scale"]),
-                c_bound=p["c"]))
-        else:
-            members.append(build_from_risk_aversion(
-                SinSquareAversion(p["base"], p["amplitude"], p["scale"]),
-                c_bound=p["c"]))
-    return agent_set(*members)
+    return agent_set(*(_AGENT_KINDS[family].build(dict(params))
+                       for family, params in agents))
 
 
 @dataclass(frozen=True)
@@ -352,10 +355,7 @@ class ExperimentConfig:
     def build_model(self) -> MarketModel:
         def payoff(spec):
             kind, params = spec
-            p = dict(params)
-            if kind == "linear":
-                return LinearPayoff(p["slope"], p["intercept"])
-            return NamedPayoff(kind, p["scale"])
+            return _PAYOFF_KINDS[kind].build(dict(params))
 
         return market_model(endowment=payoff(self.endowment),
                             dividends=tuple(payoff(s)

@@ -31,6 +31,13 @@ step's warm start.  `coefficient_rows` is the one conjugate entry and
 command and the two raising wrappers `solve_conjugate` and
 `eval_sde_coefficient` alike.
 
+Every entry reads its inputs by one batch rule, `_batched`: level (B,)
+and position (B, J), weights and utilities (B, M), cash and slope (B,).
+Scalars and single rows broadcast, B is the one length other than 1 (an
+empty batch stays empty), and a row of the wrong width is refused by
+name.  A result comes back as a single point only when its batch has one
+row.
+
 The warm start is a predictor-corrector step across Euler steps
 (Allgower & Georg, Numerical Continuation Methods, 1990, ch. 2), and
 the Newton solve is its corrector.  For a frozen book the exact
@@ -94,7 +101,7 @@ size and break that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,37 +127,39 @@ class ConjugateInfeasibleError(RuntimeError):
         self.indices = indices if indices is not None else ()
 
 
-def _batch_length(*lengths) -> int:
-    """The one batch length that inputs of these lengths broadcast to."""
-    longer = set(lengths) - {1}
+def _batched(agents: AgentSet, model: MarketModel, level, position,
+             **rows):
+    """Broadcast level, the named rows and position to one batch.
+
+    level is (B,) and position (B, J), zeros when None; of the named
+    rows, weights and utilities are (B, M), cash and slope (B,).  Scalars
+    and single rows broadcast, and B is the one length other than 1
+    among the inputs, so an empty batch stays empty.  Returns level, the
+    rows in the order given, then position.
+    """
+    widths = {"weights": agents.size, "utilities": agents.size,
+              "position": model.n_dividends}
+    if position is None:
+        position = np.zeros(model.n_dividends)
+    arrays = []
+    for name, value in {"level": level, **rows, "position": position}.items():
+        a = np.asarray(value, dtype=float)
+        width = widths.get(name)
+        if width is None:
+            arrays.append(np.atleast_1d(a))
+            continue
+        a = np.atleast_2d(a)
+        if a.shape[-1] != width:
+            raise ValueError(f"{name} must have {width} components, "
+                             f"got {a.shape[-1]}")
+        arrays.append(a)
+    lengths = {a.shape[0] for a in arrays}
+    longer = lengths - {1}
     if len(longer) > 1:
-        raise ValueError(f"inputs of lengths {sorted(set(lengths))} do not "
+        raise ValueError(f"inputs of lengths {sorted(lengths)} do not "
                          "broadcast to one batch")
-    return longer.pop() if longer else 1
-
-
-def _batched(z, v, x, q, n_members: int, n_dividends: int):
-    """Coerce inputs to (B,), (B,M), (B,), (B,J) with a common B."""
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    if v.shape[-1] != n_members:
-        raise ValueError(f"weights have {v.shape[-1]} components, "
-                         f"expected {n_members}")
-    q = np.asarray(q, dtype=float) if q is not None else np.zeros(n_dividends)
-    if q.ndim == 0:
-        q = q.reshape(1)
-    if q.ndim == 1:
-        q = q[None, :]
-    if q.shape[-1] != n_dividends:
-        raise ValueError(f"position has {q.shape[-1]} components, "
-                         f"expected {n_dividends}")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    b = _batch_length(z.shape[0], x.shape[0], v.shape[0], q.shape[0])
-    z = np.broadcast_to(z, (b,))
-    x = np.broadcast_to(x, (b,))
-    v = np.broadcast_to(v, (b, n_members))
-    q = np.broadcast_to(q, (b, n_dividends))
-    return z, v, x, q
+    b = longer.pop() if longer else 1
+    return tuple(np.broadcast_to(a, (b,) + a.shape[1:]) for a in arrays)
 
 
 def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
@@ -177,9 +186,8 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("time must lie in [0, 1]")
-    z, v, x, q = _batched(level, weights, cash, position,
-                          agents.size, model.n_dividends)
-    b = z.shape[0]
+    z, v, x, q = _batched(agents, model, level, position, weights=weights,
+                          cash=cash)
     s = math.sqrt(max(1.0 - t, 0.0))
     if s == 0.0:
         rule = degenerate_rule()
@@ -229,8 +237,8 @@ def normalize_weights(agents: AgentSet, model: MarketModel,
     dividing by it lands exactly on the normalized slice and doing it
     twice is a no-op.
     """
-    z, v, x, q = _batched(level, weights, cash, position,
-                          agents.size, model.n_dividends)
+    z, v, x, q = _batched(agents, model, level, position, weights=weights,
+                          cash=cash)
     out = field_core(agents, model, rule, t, z, v, x, q, order=1)
     bad = ~out["finite"]
     if bad.any():
@@ -239,7 +247,13 @@ def normalize_weights(agents: AgentSet, model: MarketModel,
             "points; the terminal wealth drives the shared utility outside "
             "double precision")
     scaled = v / out["value_x"][:, None]
-    return scaled[0] if np.asarray(weights).ndim <= 1 else scaled
+    single = np.asarray(weights).ndim <= 1 and z.shape[0] == 1
+    return scaled[0] if single else scaled
+
+
+# the fields of a ConjugatePoint that hold one entry per row
+_ROW_FIELDS = ("level", "utilities", "slope", "position", "weights", "cash",
+               "coefficient", "sigma", "jacobian", "converged")
 
 
 @dataclass(frozen=True)
@@ -280,24 +294,14 @@ class ConjugatePoint:
 
     def item(self) -> "ConjugatePoint":
         """Squeeze a batch of one down to scalar fields."""
-        return ConjugatePoint(
-            t=self.t, level=float(self.level[0]),
-            utilities=self.utilities[0], slope=float(self.slope[0]),
-            position=self.position[0], weights=self.weights[0],
-            cash=float(self.cash[0]), coefficient=self.coefficient[0],
-            sigma=float(self.sigma[0]), jacobian=self.jacobian[0],
-            converged=bool(self.converged[0]),
-            iterations=self.iterations)
+        rows = {name: getattr(self, name)[0] for name in _ROW_FIELDS}
+        return replace(self, **{name: row.item() if row.ndim == 0 else row
+                                for name, row in rows.items()})
 
     def take(self, rows) -> "ConjugatePoint":
         """The batch's rows selected by an index or mask, in order."""
-        return ConjugatePoint(
-            t=self.t, level=self.level[rows], utilities=self.utilities[rows],
-            slope=self.slope[rows], position=self.position[rows],
-            weights=self.weights[rows], cash=self.cash[rows],
-            coefficient=self.coefficient[rows], sigma=self.sigma[rows],
-            jacobian=self.jacobian[rows], converged=self.converged[rows],
-            iterations=self.iterations)
+        return replace(self, **{name: getattr(self, name)[rows]
+                                for name in _ROW_FIELDS})
 
     def predict(self, db, dt, drho=None):
         """Warm (weights, cash) for the next Euler step of solved rows.
@@ -326,21 +330,6 @@ class ConjugatePoint:
             c = self.cash + step[:, m]
         ok &= ((w > 0.0) & (w < np.inf)).all(axis=1) & np.isfinite(c)
         return np.where(ok[:, None], w, guess), np.where(ok, c, self.cash)
-
-
-def _targets(agents, model, level, utilities, slope, position):
-    """Check the conjugate targets and broadcast them to one batch."""
-    u = np.atleast_2d(np.asarray(utilities, dtype=float))
-    if np.any(u >= 0):
-        raise ValueError("utility targets must be negative")
-    y = np.atleast_1d(np.asarray(slope, dtype=float))
-    if np.any(y <= 0):
-        raise ValueError("slope target must be positive")
-    z, _, _, q = _batched(level, np.ones(agents.size), 0.0, position,
-                          agents.size, model.n_dividends)
-    b = _batch_length(z.shape[0], u.shape[0], y.shape[0], q.shape[0])
-    return (np.broadcast_to(z, (b,)), np.broadcast_to(u, (b, u.shape[1])),
-            np.broadcast_to(y, (b,)), np.broadcast_to(q, (b, q.shape[1])))
 
 
 def _jacobian(logv, out) -> np.ndarray:
@@ -395,7 +384,7 @@ def _conjugate_batch(agents, model, rule, t, level, utilities, slope,
     its own row's step.  A row solved to weights that spread past
     `pareto.WEIGHT_RATIO_LIMIT`, which `pareto.check_weights` refuses,
     also comes back unconverged.  The targets come checked and broadcast
-    by `_targets`.
+    by `coefficient_rows`.
 
     When some member is reconstructed from tables, each residual after
     the first seeds the multiplier solve from the last residual's
@@ -529,8 +518,13 @@ def coefficient_rows(agents: AgentSet, model: MarketModel,
     sharing multiplier included, whose field comes back NaN — is nan
     with converged False; nothing is retried.
     """
-    targets = _targets(agents, model, level, utilities, slope, position)
-    return _conjugate_batch(agents, model, rule, t, *targets, warm=warm,
+    z, u, y, q = _batched(agents, model, level, position,
+                          utilities=utilities, slope=slope)
+    if np.any(u >= 0):
+        raise ValueError("utility targets must be negative")
+    if np.any(y <= 0):
+        raise ValueError("slope target must be positive")
+    return _conjugate_batch(agents, model, rule, t, z, u, y, q, warm=warm,
                             tol=tol)
 
 

@@ -78,10 +78,15 @@ _NAMED: dict[str, tuple[Callable, Callable, bool, bool]] = {
     "square": (np.square, lambda z: 2.0 * z, False, False),
     "exp": (np.exp, np.exp, False, False),
 }
+NAMED_PAYOFFS = tuple(_NAMED)
 
 
 class NamedPayoff:
-    """scale * base(z) for a registered smooth base profile."""
+    """scale * base(z) for a registered smooth base profile.
+
+    Only the name is kept, and the base functions are looked up at each
+    call, so the payoff pickles for pool workers.
+    """
 
     def __init__(self, name: str, scale: float = 1.0):
         if name not in _NAMED:
@@ -89,16 +94,16 @@ class NamedPayoff:
                 f"unknown payoff name {name!r}; choices: {sorted(_NAMED)}")
         self.name = name
         self.scale = float(scale)
-        self._value, self._slope, base_bounded, base_lip = _NAMED[name]
+        base_bounded, base_lip = _NAMED[name][2:]
         self.bounded = base_bounded or self.scale == 0.0
         self.slope_bounded = base_lip or self.scale == 0.0
         self.label = f"{name}(scale={self.scale:g})"
 
     def value(self, z):
-        return self.scale * self._value(np.asarray(z, dtype=float))
+        return self.scale * _NAMED[self.name][0](np.asarray(z, dtype=float))
 
     def derivative(self, z):
-        return self.scale * self._slope(np.asarray(z, dtype=float))
+        return self.scale * _NAMED[self.name][1](np.asarray(z, dtype=float))
 
     lipschitz_constant = _grid_lipschitz
 
@@ -261,18 +266,16 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def _log_moment_ladder(exponent_fn, rtol: float, orders: Sequence[int]):
-    """Nested-rule estimates of log E[exp(exponent_fn(Z))]."""
-    history = []
+    """Nested-rule estimates of log E[exp(exponent_fn(Z))]: the last
+    estimate, the order it came from, and whether it stabilized."""
     prev = None
     for n in orders:
         rule = QuadratureRule.gauss_hermite(n)
         est = _logsumexp(exponent_fn(rule.nodes) + np.log(rule.weights))
-        history.append((n, est))
-        if prev is not None:
-            if est == prev or abs(est - prev) <= rtol:
-                return est, n, True, history
+        if prev is not None and (est == prev or abs(est - prev) <= rtol):
+            return est, n, True
         prev = est
-    return history[-1][1], history[-1][0], False, history
+    return est, n, False
 
 
 @dataclass(frozen=True)
@@ -358,7 +361,7 @@ def check_integrability(model: MarketModel, agents: AgentSet,
 
                 term_bounded = (kg == 0.0 or model.endowment.bounded) and \
                     all(f.bounded or p == 0.0 for f in model.dividends)
-                log_est, order, ok, _ = _log_moment_ladder(
+                log_est, order, ok = _log_moment_ladder(
                     exponent, MOMENT_RTOL, ladder)
                 term_logs.append(log_est)
                 all_ok = all_ok and (ok or term_bounded)

@@ -109,7 +109,9 @@ class ScheduleFlow:
         return self.positions[0]
 
     def position_at(self, t: float) -> np.ndarray:
-        """The position held at time t, shape (J,)."""
+        """The position held at time t in [0, 1], shape (J,)."""
+        if not 0.0 <= t <= 1.0:
+            raise ValueError("time must lie in [0, 1]")
         return self.positions[int(np.searchsorted(self.times, t,
                                                   side="right")) - 1]
 

@@ -14,6 +14,11 @@ is held one of two ways:
       u'(x) = exp(-int_0^x a(s) ds),   u(x) = -int_x^inf u'(s) ds,
   which pins the normalization u'(0) = 1.
 
+Either way a member supports as many utility derivatives as its profile
+gives aversion derivatives (the profile's ``order``) plus two, and
+``UtilitySpec.max_derivative_order`` reads that budget off the profile,
+so a shorter budget comes only from a profile declaring a lower order.
+
 For a reconstructed member the integrated aversion I(x) = int_0^x a is
 cached on a dense uniform grid and interpolated with a monotone cubic
 Hermite scheme whose node slopes are the analytic a(x); the improper
@@ -310,12 +315,11 @@ def _build_tables(aversion) -> _Tables:
 
 @dataclass(frozen=True, eq=False)
 class UtilitySpec:
-    """One dealer's utility: aversion profile, validity bound, derivative
-    budget, and the tables of a reconstructed member (None in closed
-    form, where the profile is a ConstantAversion)."""
+    """One dealer's utility: aversion profile, validity bound, and the
+    tables of a reconstructed member (None in closed form, where the
+    profile is a ConstantAversion)."""
 
     c_bound: float
-    max_derivative_order: int
     aversion: object
     tables: _Tables | None = field(default=None, repr=False)
 
@@ -324,9 +328,14 @@ class UtilitySpec:
         """Whether the aversion is constant, in closed form or not."""
         return isinstance(self.aversion, ConstantAversion)
 
+    @property
+    def max_derivative_order(self) -> int:
+        """The utility derivatives the member supports: the profile's
+        aversion derivatives (its `order`, 0 without one) plus two."""
+        return getattr(self.aversion, "order", 0) + 2
 
-def exponential_utility(a: float, c_bound: float | None = None,
-                        max_order: int = 64) -> UtilitySpec:
+
+def exponential_utility(a: float, c_bound: float | None = None) -> UtilitySpec:
     """Constant-aversion utility u(x) = -exp(-a*x)/a."""
     if a <= 0:
         raise InvalidRiskAversionError("exponential coefficient must be positive")
@@ -334,27 +343,18 @@ def exponential_utility(a: float, c_bound: float | None = None,
     if not (1.0 / c <= a <= c):
         raise InvalidRiskAversionError(
             f"coefficient {a:g} outside [1/c, c] for c={c:g}")
-    return UtilitySpec(c_bound=c, max_derivative_order=max_order,
-                       aversion=ConstantAversion(a))
+    return UtilitySpec(c_bound=c, aversion=ConstantAversion(a))
 
 
-def build_from_risk_aversion(aversion, c_bound: float,
-                             max_order: int | None = None) -> UtilitySpec:
+def build_from_risk_aversion(aversion, c_bound: float) -> UtilitySpec:
     """Reconstruct a utility from its absolute risk aversion profile.
 
     The profile is validated against [1/c_bound, c_bound] on the table grid;
-    leaving the band raises InvalidRiskAversionError.  u'(0) = 1.  The
-    derivative budget defaults to all the profile supports, its order + 2.
+    leaving the band raises InvalidRiskAversionError.  u'(0) = 1.
     """
     c = float(c_bound)
     if c < 1.0:
         raise InvalidRiskAversionError("aversion band requires c >= 1")
-    avail = getattr(aversion, "order", 0) + 2
-    if max_order is None:
-        max_order = avail
-    if max_order > avail:
-        raise UnsupportedOrderError(
-            f"profile supports utility derivatives up to order {avail}")
     tables = _build_tables(aversion)
     slack = 1e-9 * c
     if tables.a_nodes.min() < 1.0 / c - slack or tables.a_nodes.max() > c + slack:
@@ -363,8 +363,7 @@ def build_from_risk_aversion(aversion, c_bound: float,
             f"(range [{tables.a_nodes.min():g}, {tables.a_nodes.max():g}])")
     if not (np.all(tables.u_nodes < 0.0) and np.all(np.diff(tables.u_nodes) > 0.0)):
         raise InvalidRiskAversionError("reconstructed utility is not negative increasing")
-    return UtilitySpec(c_bound=c, max_derivative_order=max_order,
-                       aversion=aversion, tables=tables)
+    return UtilitySpec(c_bound=c, aversion=aversion, tables=tables)
 
 
 @dataclass(frozen=True, eq=False)

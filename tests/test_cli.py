@@ -91,6 +91,21 @@ def test_engine_reproduces_the_golden_artifacts(tmp_path, monkeypatch, name,
             assert (tmp_path / file).read_bytes() == fh.read(), file
 
 
+@pytest.mark.parametrize("name", ["tanh_log", "tanh_direct", "tanh_eps",
+                                  "exp_pair"])
+def test_golden_simulate_on_two_workers(tmp_path, monkeypatch, name):
+    # the pool pickles the desk, named payoffs included; two workers
+    # write the recorded single-process files byte for byte
+    monkeypatch.setenv("IMPACTDESK_WORKERS", "2")
+    cfg = os.path.join(GOLDEN, f"{name}.cfg")
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    golden = os.path.join(GOLDEN, f"{name}.simulate")
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden))
+    for file in os.listdir(golden):
+        with open(os.path.join(golden, file), "rb") as fh:
+            assert (tmp_path / file).read_bytes() == fh.read(), file
+
+
 def test_check_certifies_exponential_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     assert run(["check", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -11,7 +11,7 @@ from impactdesk.market import (CustomPayoff, LinearPayoff, NamedPayoff,
 from impactdesk import utility
 from impactdesk.quadrature import QuadratureRule
 from impactdesk.utility import (ConstantAversion, SinSquareAversion,
-                                TanhAversion, agent_set,
+                                TanhAversion, UtilitySpec, agent_set,
                                 build_from_risk_aversion, check_smoothness,
                                 exponential_utility)
 
@@ -63,10 +63,13 @@ def test_exponential_pair_passes_all_three_regimes():
 
 
 def test_member_budget_below_the_needed_order_fails_by_name():
-    # regime 1 needs aversion derivatives to order 2 here; a budget of
-    # three utility derivatives declares the aversion's first only
+    # regime 1 needs aversion derivatives to order 2 here; a profile of
+    # order 1 declares the aversion's first only
+    class _Short(ConstantAversion):
+        order = 1
+
     desk = agent_set(exponential_utility(2.0),
-                     exponential_utility(2.0, max_order=3))
+                     UtilitySpec(c_bound=2.0, aversion=_Short(2.0)))
     local = check_regime(desk, LIN, 1)
     assert local.verdict == FAIL
     assert local.checks[0].detail == (

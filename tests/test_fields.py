@@ -32,7 +32,7 @@ from impactdesk.utility import (
 
 EXP_PAIR = agent_set(exponential_utility(2.0), exponential_utility(2.0))
 TANH_MIX = agent_set(
-    build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5, max_order=6),
+    build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5),
     exponential_utility(2.0),
 )
 # unit-slope endowment at half size plus one tradable unit-slope dividend:
@@ -152,6 +152,19 @@ def test_normalize_weights_lands_on_unit_slice():
     again = normalize_weights(EXP_PAIR, LIN_MARKET, RULE, 0.5, 0.2, vn, 0.3,
                               [0.5])
     assert np.allclose(again, vn, rtol=1e-12)
+
+
+def test_normalize_weights_broadcasts_one_weight_row_over_levels():
+    # one weight row at three levels is three states, each row the bits
+    # of its own one-level call
+    levels = [-1.0, 0.0, 1.0]
+    rows = normalize_weights(EXP_PAIR, LIN_MARKET, RULE, 0.5, levels,
+                             (1.0, 2.0), 0.3, [0.5])
+    assert rows.shape == (3, 2)
+    for z, row in zip(levels, rows):
+        one = normalize_weights(EXP_PAIR, LIN_MARKET, RULE, 0.5, z,
+                                (1.0, 2.0), 0.3, [0.5])
+        assert one.shape == (2,) and row.tobytes() == one.tobytes()
 
 
 def test_normalize_matches_exponential_closed_form():
@@ -585,6 +598,29 @@ def test_target_sign_validation():
     with pytest.raises(ValueError):
         solve_conjugate(EXP_PAIR, FLAT_MARKET, RULE, 0.5, 0.0, (-1.0, -1.0),
                         -2.0)
+
+
+def test_utilities_of_the_wrong_width_are_named():
+    # three utilities on a two-member desk, refused before any solve
+    for solve in (coefficient_rows, solve_conjugate):
+        with pytest.raises(ValueError, match="utilities"):
+            solve(EXP_PAIR, LIN_MARKET, RULE, 0.5, 0.0, [-1.0, -1.0, -1.0],
+                  [[0.5]])
+
+
+def test_an_empty_batch_stays_empty():
+    # the Euler engine sends no rows once every due path has stopped
+    out = field_core(EXP_PAIR, LIN_MARKET, RULE, 0.5, np.zeros(0),
+                     np.ones((0, 2)), np.zeros(0), np.zeros((0, 1)), order=2,
+                     with_integrand=True)
+    for name in ("value", "value_x", "integrand", "finite"):
+        assert out[name].shape == (0,), name
+    assert out["value_v"].shape == (0, 2)
+    rows = coefficient_rows(EXP_PAIR, LIN_MARKET, RULE, 0.5, np.zeros(0),
+                            -np.ones((0, 2)), np.zeros((0, 1)))
+    assert rows.weights.shape == rows.coefficient.shape == (0, 2)
+    assert rows.converged.shape == rows.cash.shape == (0,)
+    assert rows.jacobian.shape == (0, 3, 3)
 
 
 def test_targets_broadcast_to_one_batch():

@@ -26,16 +26,16 @@ from impactdesk.utility import (
 EXP_PAIR = agent_set(exponential_utility(2.0), exponential_utility(2.0))
 MIXED = agent_set(
     exponential_utility(1.0),
-    build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5, max_order=6),
+    build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5),
     exponential_utility(3.0),
 )
 TANH_EXP = agent_set(
-    build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5, max_order=6),
+    build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5),
     exponential_utility(2.0),
 )
 TANH_PAIR = agent_set(
-    build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5, max_order=6),
-    build_from_risk_aversion(TanhAversion(1.5, 0.5), c_bound=2.0, max_order=6),
+    build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5),
+    build_from_risk_aversion(TanhAversion(1.5, 0.5), c_bound=2.0),
 )
 
 

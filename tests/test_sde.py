@@ -103,6 +103,16 @@ def test_schedule_flow_validation():
         ScheduleFlow([0.0, 0.5], [[1.0]])
 
 
+@pytest.mark.parametrize("t", [-0.1, -1e-300, 1.5, math.nan])
+def test_schedule_flow_refuses_a_time_outside_the_horizon(t):
+    # a time before 0 once read the last segment through index -1
+    flow = ScheduleFlow([0.0, 0.5], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        flow.position_at(t)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        flow.at(t, -np.ones((2, 2)), np.zeros(2))
+
+
 def test_feedback_flow_sees_left_limits():
     calls = []
 

@@ -18,6 +18,7 @@ from impactdesk.utility import (
     SinSquareAversion,
     TanhAversion,
     UnsupportedOrderError,
+    UtilitySpec,
     _reciprocal_derivatives,
     agent_set,
     build_from_risk_aversion,
@@ -36,9 +37,9 @@ from impactdesk.utility import (
 TANH_A2_SUP = 2.0 / (3.0 * math.sqrt(3.0))
 
 EXP2 = exponential_utility(2.0)
-CONST2 = build_from_risk_aversion(ConstantAversion(2.0), c_bound=2.0, max_order=6)
-TANH = build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5, max_order=6)
-TANH_WIDE = build_from_risk_aversion(TanhAversion(1.5, 0.5), c_bound=2.0, max_order=6)
+CONST2 = build_from_risk_aversion(ConstantAversion(2.0), c_bound=2.0)
+TANH = build_from_risk_aversion(TanhAversion(2.0, 0.5), c_bound=2.5)
+TANH_WIDE = build_from_risk_aversion(TanhAversion(1.5, 0.5), c_bound=2.0)
 
 
 def test_exponential_closed_form_at_zero():
@@ -153,14 +154,28 @@ def test_risk_tolerance_recursion():
 
 
 def test_unsupported_order_raises():
-    low = exponential_utility(2.0, max_order=3)
+    # a profile of order 1 gives a closed-form member a budget of three
+    class _Short(ConstantAversion):
+        order = 1
+
+    low = UtilitySpec(c_bound=2.0, aversion=_Short(2.0))
+    assert low.tables is None and low.max_derivative_order == 3
     with pytest.raises(UnsupportedOrderError):
         eval_utility(low, 0.0, 4)
     with pytest.raises(UnsupportedOrderError):
         risk_aversion(low, 0.0, 2)
-    with pytest.raises(UnsupportedOrderError):
-        build_from_risk_aversion(
-            ConstantAversion(2.0), c_bound=2.0, max_order=99)
+
+
+def test_derivative_budget_is_read_off_the_profile():
+    # closed form or rebuilt from tables, a constant profile of order 64
+    # gives 66 utility derivatives, and the budget cannot be set
+    assert EXP2.max_derivative_order == CONST2.max_derivative_order == 66
+    assert TANH.max_derivative_order == TanhAversion.order + 2
+    with pytest.raises(AttributeError):
+        EXP2.max_derivative_order = 3
+    with pytest.raises(TypeError):
+        UtilitySpec(c_bound=2.0, max_derivative_order=3,
+                    aversion=ConstantAversion(2.0))
 
 
 def test_out_of_band_aversion_rejected():
@@ -187,8 +202,7 @@ def test_smoothness_report_stable_profiles():
 
 
 def test_smoothness_report_flags_growth():
-    sq = build_from_risk_aversion(SinSquareAversion(2.0, 0.5), c_bound=2.5,
-                                  max_order=5)
+    sq = build_from_risk_aversion(SinSquareAversion(2.0, 0.5), c_bound=2.5)
     rep = check_smoothness(agent_set(sq), 2)
     assert rep.growing[0]
     assert rep.declared_unbounded[0]
@@ -221,8 +235,7 @@ def _masked_smoothness(agents, order):
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_smoothness_suprema_match_masked_windows(order):
-    sq = build_from_risk_aversion(SinSquareAversion(2.0, 0.5), c_bound=2.5,
-                                  max_order=5)
+    sq = build_from_risk_aversion(SinSquareAversion(2.0, 0.5), c_bound=2.5)
     agents = agent_set(EXP2, CONST2, TANH, TANH_WIDE, sq)
     rep = check_smoothness(agents, order)
     want = _masked_smoothness(agents, order)
