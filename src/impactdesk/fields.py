@@ -86,16 +86,21 @@ call to about 2.2.  Desks whose members are all in closed form skip it:
 the multiplier's closed-form seed is already exact there, and keeping
 the state would only cost memory.
 
-`field_core` hands `pareto.sharing_planes` one weight row per state, not
-one per node, and gets the share partials back as a single (K, B, n)
-stack of contiguous planes, one per partial and member component.  One
-einsum sums every plane against the rule weights, and one more sums the
-slope-weighted value_x, value_xv and value_xx planes into the integrand
-and its partials.  Each sum runs along a contiguous row of n nodes in an
-order fixed by n alone, the order the scalar partials were always summed
-in, so a row's bits do not depend on the batch it is evaluated in, nor
-therefore on the worker count; BLAS `@` would block the sums by batch
-size and break that.
+`field_core` evaluates its batch in blocks of rows, each of at most
+FIELD_BLOCK points (rows times quadrature nodes), so its working set is
+bounded whatever the batch size; a batch of one block is evaluated as
+it comes.  Each block hands `pareto.sharing_planes` one weight row per
+state, not one per node, and gets the share partials back as a single
+(K, rows, n) stack of contiguous planes, one per partial and member
+component.  One einsum sums every plane against the rule weights, and
+one more sums the slope-weighted value_x, value_xv and value_xx planes
+into the integrand and its partials; both write into one (K, B) array
+of sums allocated for the whole batch, which is split into the result's
+keys once, at the end.  Each sum runs along a contiguous row of n nodes
+in an order fixed by n alone, the order the scalar partials were always
+summed in, so a row's bits do not depend on the batch or block it is
+evaluated in, nor therefore on the worker count; BLAS `@` would block
+the sums by batch size and break that.
 """
 
 from __future__ import annotations
@@ -113,6 +118,8 @@ from .utility import AgentSet, harmonic_aversion
 
 _LOG_RATIO_LIMIT = math.log(WEIGHT_RATIO_LIMIT)
 NEWTON_MAX_ITER = 100   # damped Newton steps a conjugate solve may take
+# points (rows x quadrature nodes) a field evaluation forms at once
+FIELD_BLOCK = 16384
 
 
 class FieldRangeError(RuntimeError):
@@ -184,20 +191,79 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
     `pareto.predict_log_multiplier` to seed a nearby call with.  An
     unseeded call keeps no node-sized array in its result.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("time must lie in [0, 1]")
     z, v, x, q = _batched(agents, model, level, position, weights=weights,
                           cash=cash)
+    return _evaluate(agents, model, rule, t, z, v, x, q, order,
+                     with_integrand, seed)
+
+
+def _evaluate(agents, model, rule, t, z, v, x, q, order, with_integrand,
+              seed):
+    """`field_core` on a broadcast batch, FIELD_BLOCK points at a time.
+
+    Each block of rows writes its plane and integrand sums into one
+    (K, B) array allocated up front, and a seeded call's multiplier
+    state into (B, n) arrays; the sums are split into the result's keys
+    once, at the end.  A batch of one block is evaluated as it comes.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("time must lie in [0, 1]")
     s = math.sqrt(max(1.0 - t, 0.0))
     if s == 0.0:
         rule = degenerate_rule()
-    nodes = z[:, None] + s * rule.nodes                       # (B, n)
-    wealth = terminal_wealth(model, x, q, nodes)
-
     need = max(order, 2 if with_integrand else order)
+    k = max(r.stop for r in plane_rows(agents.size, need).values())
+    b = z.shape[0]
+    sums = np.empty((k + (agents.size + 2 if with_integrand else 0), b))
+    step = max(FIELD_BLOCK // rule.n, 1)
+    if b <= step:
+        state = _block_sums(agents, model, rule, s, z, v, x, q, need,
+                            with_integrand, seed, sums)
+    else:
+        seeds = None if seed is None else np.broadcast_to(seed, (b, rule.n))
+        entries = None
+        for lo in range(0, b, step):
+            rows = slice(lo, lo + step)
+            part = _block_sums(agents, model, rule, s, z[rows], v[rows],
+                               x[rows], q[rows], need, with_integrand,
+                               None if seed is None else seeds[rows],
+                               sums[:, rows])
+            if part is None:
+                continue
+            flat = [part[0], *part[1], part[2]]       # l, each t_m / T, T
+            if entries is None:
+                # an entry of one number is the same in every block
+                entries = [np.empty((b,) + a.shape[1:]) if np.ndim(a) else a
+                           for a in flat]
+            for whole, a in zip(entries, flat):
+                if np.ndim(a):
+                    whole[rows] = a
+        state = None if seed is None else (entries[0], entries[1:-1],
+                                           entries[-1])
+
+    out = unstack(sums[:k], agents.size, order)
+    if with_integrand:
+        out["integrand"] = sums[k]
+        out["integrand_v"] = sums[k + 1:-1].T
+        out["integrand_x"] = sums[-1]
+    out["finite"] = np.isfinite(out["value"]) & np.isfinite(out["value_x"])
+    if seed is not None:
+        out["multiplier_state"] = state
+    return out
+
+
+def _block_sums(agents, model, rule, s, z, v, x, q, need, with_integrand,
+                seed, sums):
+    """Node sums of one block of rows into sums (K[+M+2], rows).
+
+    Returns the multiplier state of a seeded block, else None.
+    """
+    nodes = z[:, None] + s * rule.nodes                       # (rows, n)
+    wealth = terminal_wealth(model, x, q, nodes)
     planes = sharing_planes(agents, v[:, None, :], wealth, order=need,
                             seed=seed)
-    stack = planes["stack"]                                   # (K, B, n)
+    stack = planes["stack"]                                # (K, rows, n)
+    state = None
     if seed is not None:
         state = (planes["log_multiplier"], planes["tolerance_share"],
                  planes["tolerance"])
@@ -207,7 +273,8 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
     # order fixed by the node count, so a row's sums are the same bits
     # in any batch (BLAS `@` would block them by batch size)
     w = rule.weights
-    out = unstack(np.einsum("kbn,n->kb", stack, w), agents.size, order)
+    k = stack.shape[0]
+    np.einsum("kbn,n->kb", stack, w, out=sums[:k])
     if with_integrand:
         g_slope, f_slopes = malliavin_derivative(model, nodes)
         slope = g_slope
@@ -217,15 +284,8 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
         # weights them inside the sum, with no (B, n) product formed
         rows = plane_rows(agents.size, need)
         xv = slice(rows["value_x"].start, rows["value_xx"].stop)
-        sums = np.einsum("kbn,bn,n->kb", stack[xv], slope, w)
-        out["integrand"] = sums[0]
-        out["integrand_v"] = sums[1:-1].T
-        out["integrand_x"] = sums[-1]
-
-    out["finite"] = np.isfinite(out["value"]) & np.isfinite(out["value_x"])
-    if seed is not None:
-        out["multiplier_state"] = state
-    return out
+        np.einsum("kbn,bn,n->kb", stack[xv], slope, w, out=sums[k:])
+    return state
 
 
 def normalize_weights(agents: AgentSet, model: MarketModel,
@@ -239,7 +299,7 @@ def normalize_weights(agents: AgentSet, model: MarketModel,
     """
     z, v, x, q = _batched(agents, model, level, position, weights=weights,
                           cash=cash)
-    out = field_core(agents, model, rule, t, z, v, x, q, order=1)
+    out = _evaluate(agents, model, rule, t, z, v, x, q, 1, False, None)
     bad = ~out["finite"]
     if bad.any():
         raise FieldRangeError(

@@ -529,15 +529,20 @@ def run_ensemble(agents: AgentSet, model: MarketModel, flow,
     """Simulate config.n_paths paths and collect terminal statistics.
 
     The worker count comes from the IMPACTDESK_WORKERS environment
-    variable (default 1).  Increments are keyed by absolute path index
-    and drawn once, each worker gets its block's rows, and blocks are
-    merged back in path order, so the split cannot change any number in
-    the output.
+    variable (default 1 when unset or empty), and any other value than a
+    positive integer raises ValueError.  Increments are keyed by absolute
+    path index and drawn once, each worker gets its block's rows, and
+    blocks are merged back in path order, so the split cannot change any
+    number in the output.
     """
+    raw = os.environ.get(WORKERS_ENV, "") or "1"
+    workers = int(raw) if raw.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, "
+                         f"got {raw!r}")
     init = _initial(agents, model, flow, config, weights, cash)
     p = config.n_paths
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    workers = max(1, min(workers, p))
+    workers = min(workers, p)
     increments = brownian_increments(config.seed, 0, p, config.n_steps,
                                      config.dt)
     size = -(-p // workers)

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from impactdesk import fields
 from impactdesk.cli import run
 from impactdesk.config import ConfigError, parse_config
 
@@ -257,6 +258,38 @@ def test_simulate_is_byte_identical_across_worker_counts(tmp_path,
     assert outs["1"].keys() == outs["3"].keys()
     for name in outs["1"]:
         assert outs["1"][name] == outs["3"][name], name
+
+
+def test_pooled_closed_form_run_is_byte_identical_across_field_blocks(
+        tmp_path, monkeypatch):
+    # 600 paths of the exponential pair at 64 nodes: each of two workers
+    # evaluates 300 rows a step, more than one field block; one worker
+    # with 15-row blocks writes the same bytes too
+    cfg = os.path.join(GOLDEN, "exp_pair.cfg")
+    outs = {}
+    for name, workers, block in (("w1", "1", None), ("w2", "2", None),
+                                 ("small", "1", 997)):
+        if block is not None:
+            monkeypatch.setattr(fields, "FIELD_BLOCK", block)
+        monkeypatch.setenv("IMPACTDESK_WORKERS", workers)
+        out = tmp_path / name
+        assert run(["simulate", "--config", cfg, "--out", str(out),
+                    "--paths", "600", "--dt", "0.25",
+                    "--quadrature", "64"]) == 0
+        outs[name] = {file: (out / file).read_bytes()
+                      for file in sorted(os.listdir(out))}
+    assert outs["w1"] == outs["w2"] == outs["small"]
+
+
+@pytest.mark.parametrize("workers", ["two", "0", "-3", "1.5"])
+def test_bad_worker_count_exits_two_naming_the_variable(tmp_path, capsys,
+                                                        monkeypatch, workers):
+    monkeypatch.setenv("IMPACTDESK_WORKERS", workers)
+    cfg = write_cfg(tmp_path, BASE)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "impactdesk: IMPACTDESK_WORKERS must be a positive integer, "
+        f"got {workers!r}\n")
 
 
 def test_oracle_error_table_decays_at_half_order(tmp_path):

@@ -591,6 +591,79 @@ def test_field_core_peak_memory_with_table_member():
     assert _field_core_peak_planes(TANH_MIX) <= 31.0
 
 
+def test_field_core_peak_memory_is_bounded_by_the_block():
+    # the planes of one FIELD_BLOCK of points, not of the whole batch,
+    # set the peak: under 4 MB where the batch's stack alone is 11 MB
+    assert _field_core_peak_planes(EXP_PAIR) * 2000 * RULE.n * 8 < 4e6
+
+
+def _state_entries(state):
+    l, share, big_t = state
+    return [l, *share, big_t]
+
+
+@pytest.mark.parametrize("agents", [EXP_PAIR, TANH_MIX], ids=["exp", "tanh"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("with_integrand", [False, True],
+                         ids=["plain", "integrand"])
+def test_field_blocks_keep_every_bit(monkeypatch, agents, order,
+                                     with_integrand):
+    # one row per block, 997 points per block and one block of B*n + 1
+    # points give the bits of the batch evaluated whole, in every key;
+    # on the tanh desk a seeded call's multiplier state too
+    b = 37
+    z, v, x, q = _field_states(b, 10)
+    seeded = agents is TANH_MIX and (order >= 2 or with_integrand)
+
+    def evaluate(seed=None):
+        return field_core(agents, LIN_MARKET, RULE, 0.4, z, v, x, q,
+                          order=order, with_integrand=with_integrand,
+                          seed=seed)
+
+    monkeypatch.setattr(fields, "FIELD_BLOCK", b * RULE.n)
+    seed = None
+    if seeded:
+        # finite seeds near the solved multipliers, with NaN entries
+        seed = evaluate(np.nan)["multiplier_state"][0] + 1e-3
+        seed[:, ::5] = np.nan
+    whole = evaluate(seed)
+    for block in (RULE.n, 997, b * RULE.n + 1):
+        monkeypatch.setattr(fields, "FIELD_BLOCK", block)
+        got = evaluate(seed)
+        assert got.keys() == whole.keys()
+        for key, want in whole.items():
+            if key == "multiplier_state":
+                pairs = zip(_state_entries(got[key]), _state_entries(want))
+                assert all(np.array_equal(g, w) for g, w in pairs), block
+            else:
+                assert np.array_equal(got[key], want), (block, key)
+
+
+def test_an_empty_batch_stays_empty_in_blocks(monkeypatch):
+    monkeypatch.setattr(fields, "FIELD_BLOCK", RULE.n)
+    out = field_core(TANH_MIX, LIN_MARKET, RULE, 0.5, np.zeros(0),
+                     np.ones((0, 2)), np.zeros(0), np.zeros((0, 1)), order=2,
+                     with_integrand=True, seed=np.nan)
+    for name in ("value", "value_x", "integrand", "finite"):
+        assert out[name].shape == (0,), name
+    assert out["value_v"].shape == out["integrand_v"].shape == (0, 2)
+    assert out["multiplier_state"][0].shape == (0, RULE.n)
+
+
+def test_normalize_weights_broadcasts_its_inputs_once(monkeypatch):
+    calls = []
+    batched = fields._batched
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return batched(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_batched", counted)
+    normalize_weights(EXP_PAIR, LIN_MARKET, RULE, 0.5, [0.1, 0.2],
+                      (1.0, 2.0), 0.3, [0.5])
+    assert len(calls) == 1
+
+
 def test_target_sign_validation():
     with pytest.raises(ValueError):
         solve_conjugate(EXP_PAIR, FLAT_MARKET, RULE, 0.5, 0.0, (0.1, -1.0),

@@ -607,6 +607,27 @@ def test_multiplier_failure_stops_only_its_path(monkeypatch):
     assert others == [COMPLETED] * 5
 
 
+@pytest.mark.parametrize("workers", ["two", "0", "-3", " "])
+def test_worker_count_must_be_a_positive_integer(monkeypatch, workers):
+    monkeypatch.setenv("IMPACTDESK_WORKERS", workers)
+    cfg = SimulationConfig(dt=0.5, n_paths=2, seed=1, quadrature_n=8)
+    with pytest.raises(ValueError, match="IMPACTDESK_WORKERS must be a "
+                                         "positive integer"):
+        run_ensemble(EXP_PAIR, LIN, HALF_FLOW, cfg, cash=1.5)
+
+
+@pytest.mark.parametrize("workers", [None, ""])
+def test_unset_or_empty_worker_count_runs_on_one_worker(monkeypatch,
+                                                        workers):
+    if workers is None:
+        monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("IMPACTDESK_WORKERS", workers)
+    cfg = SimulationConfig(dt=0.5, n_paths=2, seed=1, quadrature_n=8)
+    summ = run_ensemble(EXP_PAIR, LIN, HALF_FLOW, cfg, cash=1.5)
+    assert summ.n_completed == 2
+
+
 def test_benign_ensemble_never_stops():
     cfg = SimulationConfig(dt=2.0**-5, n_paths=2000, seed=13, quadrature_n=8,
                            newton_tol=1e-9)
