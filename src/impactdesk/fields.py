@@ -35,8 +35,10 @@ Every entry reads its inputs by one batch rule, `_batched`: level (B,)
 and position (B, J), weights and utilities (B, M), cash and slope (B,).
 Scalars and single rows broadcast, B is the one length other than 1 (an
 empty batch stays empty), and a row of the wrong width is refused by
-name.  A result comes back as a single point only when its batch has one
-row.
+name.  `normalize_weights` and `solve_conjugate` return a single point
+by one rule on their row input (weights, utilities): a single row (M,)
+whose batch has one row comes back as a single point, and a batch of one
+row (1, M) stays a batch of one.
 
 The warm start is a predictor-corrector step across Euler steps
 (Allgower & Georg, Numerical Continuation Methods, 1990, ch. 2), and
@@ -86,21 +88,23 @@ call to about 2.2.  Desks whose members are all in closed form skip it:
 the multiplier's closed-form seed is already exact there, and keeping
 the state would only cost memory.
 
-`field_core` evaluates its batch in blocks of rows, each of at most
+`field_core` evaluates every batch in blocks of rows, each of at most
 FIELD_BLOCK points (rows times quadrature nodes), so its working set is
-bounded whatever the batch size; a batch of one block is evaluated as
-it comes.  Each block hands `pareto.sharing_planes` one weight row per
-state, not one per node, and gets the share partials back as a single
-(K, rows, n) stack of contiguous planes, one per partial and member
-component.  One einsum sums every plane against the rule weights, and
-one more sums the slope-weighted value_x, value_xv and value_xx planes
-into the integrand and its partials; both write into one (K, B) array
-of sums allocated for the whole batch, which is split into the result's
-keys once, at the end.  Each sum runs along a contiguous row of n nodes
-in an order fixed by n alone, the order the scalar partials were always
-summed in, so a row's bits do not depend on the batch or block it is
-evaluated in, nor therefore on the worker count; BLAS `@` would block
-the sums by batch size and break that.
+bounded whatever the batch size.  Each block hands
+`pareto.sharing_planes` one weight row per state, not one per node, and
+gets the share partials back as a single (K, rows, n) stack of
+contiguous planes, one per partial and member component.  One einsum
+sums every plane against the rule weights, and one more sums the
+slope-weighted value_x, value_xv and value_xx planes into the integrand
+and its partials; both write into one (K, B) array of sums allocated for
+the whole batch, which is split into the result's keys once, at the end.
+A seeded block writes its multiplier state into one (M+2, B, n) array
+the same way, so each state entry is a (B, n) array on every desk.  Each
+sum runs along a contiguous row of n nodes in an order fixed by n alone,
+the order the scalar partials were always summed in, so a row's bits do
+not depend on the batch or block it is evaluated in, nor therefore on
+the worker count; BLAS `@` would block the sums by batch size and break
+that.
 """
 
 from __future__ import annotations
@@ -185,11 +189,12 @@ def field_core(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
     log-multiplier broadcastable to (B, n), whose NaN entries start from
     the closed-form seed, as an unseeded call does everywhere.  A seeded
     call, which must be of order 2 or carry the integrand, also returns
-    the multiplier state it solved,
-    (log_multiplier, tolerance_share, tolerance) of
-    `pareto.sharing_planes`, under "multiplier_state", for
-    `pareto.predict_log_multiplier` to seed a nearby call with.  An
-    unseeded call keeps no node-sized array in its result.
+    the multiplier state it solved under "multiplier_state": the
+    log_multiplier, tolerance_share and tolerance of
+    `pareto.sharing_planes` as (l, [t_m / T, ...], T), each entry a
+    (B, n) array on every desk, for `pareto.predict_log_multiplier` to
+    seed a nearby call with.  An unseeded call keeps no node-sized array
+    in its result.
     """
     z, v, x, q = _batched(agents, model, level, position, weights=weights,
                           cash=cash)
@@ -203,8 +208,9 @@ def _evaluate(agents, model, rule, t, z, v, x, q, order, with_integrand,
 
     Each block of rows writes its plane and integrand sums into one
     (K, B) array allocated up front, and a seeded call's multiplier
-    state into (B, n) arrays; the sums are split into the result's keys
-    once, at the end.  A batch of one block is evaluated as it comes.
+    state into one (M+2, B, n) array beside it, whose rows are the
+    state's entries; the sums are split into the result's keys once, at
+    the end.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("time must lie in [0, 1]")
@@ -215,31 +221,17 @@ def _evaluate(agents, model, rule, t, z, v, x, q, order, with_integrand,
     k = max(r.stop for r in plane_rows(agents.size, need).values())
     b = z.shape[0]
     sums = np.empty((k + (agents.size + 2 if with_integrand else 0), b))
+    state = None
+    if seed is not None:
+        seed = np.broadcast_to(seed, (b, rule.n))
+        state = np.empty((agents.size + 2, b, rule.n))
     step = max(FIELD_BLOCK // rule.n, 1)
-    if b <= step:
-        state = _block_sums(agents, model, rule, s, z, v, x, q, need,
-                            with_integrand, seed, sums)
-    else:
-        seeds = None if seed is None else np.broadcast_to(seed, (b, rule.n))
-        entries = None
-        for lo in range(0, b, step):
-            rows = slice(lo, lo + step)
-            part = _block_sums(agents, model, rule, s, z[rows], v[rows],
-                               x[rows], q[rows], need, with_integrand,
-                               None if seed is None else seeds[rows],
-                               sums[:, rows])
-            if part is None:
-                continue
-            flat = [part[0], *part[1], part[2]]       # l, each t_m / T, T
-            if entries is None:
-                # an entry of one number is the same in every block
-                entries = [np.empty((b,) + a.shape[1:]) if np.ndim(a) else a
-                           for a in flat]
-            for whole, a in zip(entries, flat):
-                if np.ndim(a):
-                    whole[rows] = a
-        state = None if seed is None else (entries[0], entries[1:-1],
-                                           entries[-1])
+    for lo in range(0, b, step):
+        rows = slice(lo, lo + step)
+        _block_sums(agents, model, rule, s, z[rows], v[rows], x[rows],
+                    q[rows], need, with_integrand,
+                    None if seed is None else seed[rows], sums[:, rows],
+                    None if state is None else state[:, rows])
 
     out = unstack(sums[:k], agents.size, order)
     if with_integrand:
@@ -247,26 +239,31 @@ def _evaluate(agents, model, rule, t, z, v, x, q, order, with_integrand,
         out["integrand_v"] = sums[k + 1:-1].T
         out["integrand_x"] = sums[-1]
     out["finite"] = np.isfinite(out["value"]) & np.isfinite(out["value_x"])
-    if seed is not None:
-        out["multiplier_state"] = state
+    if state is not None:
+        out["multiplier_state"] = (state[0], list(state[1:-1]), state[-1])
     return out
 
 
 def _block_sums(agents, model, rule, s, z, v, x, q, need, with_integrand,
-                seed, sums):
+                seed, sums, state):
     """Node sums of one block of rows into sums (K[+M+2], rows).
 
-    Returns the multiplier state of a seeded block, else None.
+    A seeded block also writes its multiplier state into state
+    (M+2, rows, n): l, each t_m / T, then T.  The block's planes are
+    freed when it returns, before the next block forms its own.
     """
     nodes = z[:, None] + s * rule.nodes                       # (rows, n)
     wealth = terminal_wealth(model, x, q, nodes)
     planes = sharing_planes(agents, v[:, None, :], wealth, order=need,
                             seed=seed)
     stack = planes["stack"]                                # (K, rows, n)
-    state = None
-    if seed is not None:
-        state = (planes["log_multiplier"], planes["tolerance_share"],
-                 planes["tolerance"])
+    if state is not None:
+        # on a desk of closed-form members each t_m / T and T is one
+        # number, broadcast along its row
+        entries = (planes["log_multiplier"], *planes["tolerance_share"],
+                   planes["tolerance"])
+        for row, entry in zip(state, entries):
+            row[...] = entry
     del planes      # the allocations go before the sums
 
     # each plane is summed along its own contiguous row of nodes, in an
@@ -285,7 +282,6 @@ def _block_sums(agents, model, rule, s, z, v, x, q, need, with_integrand,
         rows = plane_rows(agents.size, need)
         xv = slice(rows["value_x"].start, rows["value_xx"].stop)
         np.einsum("kbn,bn,n->kb", stack[xv], slope, w, out=sums[k:])
-    return state
 
 
 def normalize_weights(agents: AgentSet, model: MarketModel,
@@ -295,10 +291,13 @@ def normalize_weights(agents: AgentSet, model: MarketModel,
 
     The cash marginal is degree-1 homogeneous in the weights, so
     dividing by it lands exactly on the normalized slice and doing it
-    twice is a no-op.
+    twice is a no-op.  Weights that are not positive and finite are
+    refused with ValueError.
     """
     z, v, x, q = _batched(agents, model, level, position, weights=weights,
                           cash=cash)
+    if not ((v > 0.0) & (v < np.inf)).all():
+        raise ValueError("weights must be positive and finite")
     out = _evaluate(agents, model, rule, t, z, v, x, q, 1, False, None)
     bad = ~out["finite"]
     if bad.any():
@@ -593,8 +592,9 @@ def solve_conjugate(agents: AgentSet, model: MarketModel,
                     position=None) -> ConjugatePoint:
     """Invert the field marginals at one or many states.
 
-    The targets broadcast to one batch; a single utility row whose batch
-    has one row comes back as a single point.  Raises
+    The targets broadcast to one batch, and a single utility row whose
+    batch has one row comes back as a single point (see the module
+    docstring).  Raises
     ConjugateInfeasibleError when any point fails to converge — the
     requested utility levels are unreachable at that state (for the
     dealer system this is how explosion shows up).

@@ -133,11 +133,7 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     members = agents.members
     nm = len(members)
     shape = np.broadcast_shapes(logv.shape[:-1], x.shape)
-    if not shape:       # one point: solve it as a row of one
-        l, xhat = _solve_log_multiplier(
-            agents, logv.reshape(1, nm), x.reshape(1),
-            None if seed is None else np.reshape(seed, 1))
-        return l.reshape(()), [xm.reshape(()) for xm in xhat]
+    flat = shape or (1,)        # one point is solved as a row of one
     t0 = 1.0 / agents.aversion_at_zero
     # constant-aversion proxy: exact for constant-aversion members, a good
     # seed otherwise
@@ -157,10 +153,10 @@ def _solve_log_multiplier(agents: AgentSet, logv: np.ndarray, x: np.ndarray,
     if not rows.size:
         return l.reshape(shape), [xm.reshape(shape) for xm in xhat]
 
-    logv = np.broadcast_to(logv, shape + (nm,))
+    logv = np.broadcast_to(logv, flat + (nm,))
 
     def residual(lcur, rows):
-        lv = logv[np.unravel_index(rows, shape)]
+        lv = logv[np.unravel_index(rows, flat)]
         xr = [inverse_log_marginal(members[m], lcur - lv[:, m])
               for m in range(nm)]
         return xr, sum(xr) - x[rows]
@@ -339,12 +335,13 @@ def predict_log_multiplier(state, rows, dlogv, dx):
     """First-order log-multiplier after a move of the weights and wealth.
 
     state is (log_multiplier, tolerance_share, tolerance) as
-    `sharing_planes` returns them at order 2 for points with one weight
-    row per row of points, on a desk where some member is reconstructed
-    from tables (so every entry is an array over the points); rows
-    picks the rows to predict.  The first-order conditions move each
-    point's log-multiplier by the log-weight move dlogv (R, M) of its
-    row and the wealth move dx (R,) shared by its row's points to
+    `sharing_planes` solves them at order 2 for points with one weight
+    row per row of points, each entry an array over the points, as
+    `fields.field_core` returns the state on every desk (a closed-form
+    entry broadcast); rows picks the rows to predict.  The first-order
+    conditions move each point's log-multiplier by the log-weight move
+    dlogv (R, M) of its row and the wealth move dx (R,) shared by its
+    row's points to
 
         l + sum_m (t_m / T) dlogv_m - dx / T,
 

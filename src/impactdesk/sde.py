@@ -226,13 +226,11 @@ class InitialState:
 def initial_state(agents: AgentSet, model: MarketModel, rule: QuadratureRule,
                   weights, cash: float = 0.0, position=None) -> InitialState:
     """Normalize starting weights and read off the initial utilities."""
-    v = np.atleast_1d(np.asarray(weights, dtype=float))
-    if np.any(v <= 0):
-        raise ValueError("starting weights must be positive")
     q = np.atleast_1d(np.asarray(
         np.zeros(model.n_dividends) if position is None else position,
         dtype=float))
-    v_norm = normalize_weights(agents, model, rule, 0.0, 0.0, v, cash, q)
+    v_norm = normalize_weights(agents, model, rule, 0.0, 0.0, weights, cash,
+                               q)
     out = field_core(agents, model, rule, 0.0, 0.0, v_norm[None, :], [cash],
                      q[None, :], order=1)
     return InitialState(utilities=out["value_v"][0], weights=v_norm,
@@ -626,6 +624,8 @@ def strong_error_study(agents: AgentSet, model: MarketModel, flow,
     it would be in a run of its level alone.
     """
     dts_desc = sorted((float(d) for d in dts), reverse=True)
+    if not dts_desc:
+        raise ValueError("dts must hold at least one step size")
     fine = dts_desc[-1]
     n_fine = step_count(fine)
     for d in dts_desc:

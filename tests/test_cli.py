@@ -71,18 +71,14 @@ def test_check_reproduces_the_golden_report(tmp_path, name, code):
         assert (tmp_path / "check.txt").read_bytes() == fh.read()
 
 
-@pytest.mark.parametrize("name,command", [
+ENGINE_RUNS = [
     ("tanh_log", "simulate"), ("tanh_direct", "simulate"),
     ("tanh_eps", "simulate"), ("tanh_log", "oracle"),
-    ("exp_pair", "simulate"), ("exp_pair", "fields"), ("tanh", "fields")])
-def test_engine_reproduces_the_golden_artifacts(tmp_path, monkeypatch, name,
-                                                command):
-    # every file the recorded run wrote, byte for byte: the tanh desk under
-    # a step flow in log and in direct coordinates, a variant whose paths
-    # all stop by explosion, the error table of the lockstep ladder, a path
-    # of the closed-form exponential pair, and the field grids of that pair
-    # and of the mixed tanh desk
-    monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+    ("exp_pair", "simulate"), ("exp_pair", "fields"), ("tanh", "fields")]
+
+
+def assert_golden_run(tmp_path, name, command):
+    """Run a golden config and compare every file it writes, byte for byte."""
     cfg = os.path.join(GOLDEN, f"{name}.cfg")
     assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 0
     golden = os.path.join(GOLDEN, f"{name}.{command}")
@@ -92,19 +88,38 @@ def test_engine_reproduces_the_golden_artifacts(tmp_path, monkeypatch, name,
             assert (tmp_path / file).read_bytes() == fh.read(), file
 
 
+@pytest.mark.parametrize("name,command", ENGINE_RUNS)
+def test_engine_reproduces_the_golden_artifacts(tmp_path, monkeypatch, name,
+                                                command):
+    # every file the recorded run wrote, byte for byte: the tanh desk under
+    # a step flow in log and in direct coordinates, a variant whose paths
+    # all stop by explosion, the error table of the lockstep ladder, a path
+    # of the closed-form exponential pair, and the field grids of that pair
+    # and of the mixed tanh desk
+    monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+    assert_golden_run(tmp_path, name, command)
+
+
+@pytest.mark.parametrize("name,command", ENGINE_RUNS)
+def test_golden_artifacts_in_one_row_field_blocks(tmp_path, monkeypatch, name,
+                                                  command):
+    # one row at the config's quadrature per field block, in process:
+    # every batch, and a seeded tanh solve's multiplier state, crosses as
+    # many blocks as it has rows, and the recorded bytes still come out
+    monkeypatch.delenv("IMPACTDESK_WORKERS", raising=False)
+    with open(os.path.join(GOLDEN, f"{name}.cfg")) as fh:
+        n = parse_config(fh.read()).quadrature
+    monkeypatch.setattr(fields, "FIELD_BLOCK", n)
+    assert_golden_run(tmp_path, name, command)
+
+
 @pytest.mark.parametrize("name", ["tanh_log", "tanh_direct", "tanh_eps",
                                   "exp_pair"])
 def test_golden_simulate_on_two_workers(tmp_path, monkeypatch, name):
     # the pool pickles the desk, named payoffs included; two workers
     # write the recorded single-process files byte for byte
     monkeypatch.setenv("IMPACTDESK_WORKERS", "2")
-    cfg = os.path.join(GOLDEN, f"{name}.cfg")
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
-    golden = os.path.join(GOLDEN, f"{name}.simulate")
-    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden))
-    for file in os.listdir(golden):
-        with open(os.path.join(golden, file), "rb") as fh:
-            assert (tmp_path / file).read_bytes() == fh.read(), file
+    assert_golden_run(tmp_path, name, "simulate")
 
 
 def test_check_certifies_exponential_config(tmp_path, capsys):

@@ -167,6 +167,38 @@ def test_normalize_weights_broadcasts_one_weight_row_over_levels():
         assert one.shape == (2,) and row.tobytes() == one.tobytes()
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+def test_normalize_weights_refuses_weights_not_positive_and_finite(bad):
+    # refused by name, not reported as a field overflow
+    weights = np.ones((3, 2))
+    weights[1, 0] = bad
+    with pytest.raises(ValueError, match="weights must be positive and "
+                       "finite"):
+        normalize_weights(EXP_PAIR, LIN_MARKET, RULE, 0.5, 0.2, weights, 0.3,
+                          [0.5])
+
+
+@pytest.mark.parametrize("entry", ["normalize_weights", "solve_conjugate"])
+def test_a_single_row_is_a_single_point_and_a_batch_of_one_stays(entry):
+    # one rule on each entry's row input (weights, utilities): a row (M,)
+    # comes back as a single point, a batch of one row (1, M) as a batch
+    # of one, with the same bits
+    def call(rows):
+        if entry == "normalize_weights":
+            return normalize_weights(EXP_PAIR, LIN_MARKET, RULE, 0.5, 0.2,
+                                     rows, 0.3, [0.5])
+        point = solve_conjugate(EXP_PAIR, LIN_MARKET, RULE, 0.5, 0.2, rows,
+                                1.0, [0.5])
+        assert np.shape(point.cash) == np.shape(point.converged)
+        return point.weights
+
+    row = np.array([1.0, 2.0] if entry == "normalize_weights"
+                   else [-0.4, -0.3])
+    single, batch = call(row), call(row[None, :])
+    assert single.shape == (2,) and batch.shape == (1, 2)
+    assert single.tobytes() == batch.tobytes()
+
+
 def test_normalize_matches_exponential_closed_form():
     # cash marginal = (harmonic aversion) * (-value) for constant aversion
     v = np.array([1.0, 2.0])
@@ -610,10 +642,11 @@ def test_field_blocks_keep_every_bit(monkeypatch, agents, order,
                                      with_integrand):
     # one row per block, 997 points per block and one block of B*n + 1
     # points give the bits of the batch evaluated whole, in every key;
-    # on the tanh desk a seeded call's multiplier state too
+    # a seeded call's multiplier state too, where the exponential pair's
+    # shares and tolerance are one number broadcast into each block
     b = 37
     z, v, x, q = _field_states(b, 10)
-    seeded = agents is TANH_MIX and (order >= 2 or with_integrand)
+    seeded = order >= 2 or with_integrand
 
     def evaluate(seed=None):
         return field_core(agents, LIN_MARKET, RULE, 0.4, z, v, x, q,

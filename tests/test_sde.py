@@ -73,10 +73,9 @@ def test_initial_state_linear_market_frozen():
 
 
 def test_initial_state_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        initial_state(EXP_PAIR, FLAT, RULE, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        initial_state(EXP_PAIR, FLAT, RULE, [1.0, -2.0])
+    for bad in (0.0, -2.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            initial_state(EXP_PAIR, FLAT, RULE, [1.0, bad])
 
 
 # --------------------------------------------------------------------------
@@ -787,6 +786,12 @@ def test_dyadic_ladder_makes_one_conjugate_solve_per_finest_step(
     assert study.n_completed == (2, 2, 2, 2)
     assert len(calls) == 128
     assert sum(calls) == 2 * (16 + 32 + 64 + 128)
+
+
+def test_empty_ladder_is_refused_by_name():
+    cfg = SimulationConfig(n_paths=2, seed=1, quadrature_n=8)
+    with pytest.raises(ValueError, match="dts must hold at least one"):
+        strong_error_study(EXP_PAIR, LIN, HALF_FLOW, cfg, [], cash=1.5)
 
 
 @pytest.mark.parametrize("dts,bad", [([0.25, 0.2], "0.25"),
